@@ -320,6 +320,29 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
   return result;
 }
 
+CostGrade GradeCost(const AnalysisResult& result,
+                    const AnalyzeOptions& options) {
+  CostGrade grade;
+  if (result.HasErrors()) return grade;
+  grade.root_certificate = result.root_certificate;
+  if (grade.root_certificate.bounded()) {
+    // The sound bounds replace the guesses in both directions.
+    const bool huge =
+        *grade.root_certificate.rows > options.certified_rows_threshold ||
+        *grade.root_certificate.lcm > options.period_blowup_threshold;
+    grade.cls = huge ? CostClass::kHeavy : CostClass::kNormal;
+    return grade;
+  }
+  // Unbounded: the queries the A010 / A012 guesses were invented for.
+  for (const Diagnostic& d : result.diagnostics) {
+    if (d.code == diag::kExpensiveComplement || d.code == diag::kPeriodBlowup) {
+      grade.cls = CostClass::kHeavy;
+      break;
+    }
+  }
+  return grade;
+}
+
 QueryPtr ApplySoundRewrites(const QueryPtr& q, const AnalysisResult& analysis,
                             int* removed) {
   int count = 0;

@@ -109,6 +109,23 @@ struct AnalysisResult {
 AnalysisResult Analyze(const Database& db, const query::QueryPtr& q,
                        const AnalyzeOptions& options = {});
 
+/// The admission grade of a query (server/admission.h).  kHeavy is
+/// worst-case exponential work: certified bounds over the A014 / A015
+/// thresholds, or an unbounded certificate with A010 / A012 firing.
+enum class CostClass { kNormal, kHeavy };
+
+struct CostGrade {
+  CostClass cls = CostClass::kNormal;
+  /// Top when the analysis had errors or no certificate pass.  Unbounded
+  /// also makes the result ineligible for the result cache.
+  Certificate root_certificate;
+};
+
+/// Grades an analysis run with `options`.  Errors grade kNormal:
+/// evaluation reports them.
+CostGrade GradeCost(const AnalysisResult& result,
+                    const AnalyzeOptions& options);
+
 /// Applies the provably sound subset of the analysis as a rewrite: an OR
 /// branch proven empty whose free variables are a subset of the surviving
 /// branch's is dropped (union with zero tuples is the identity on the

@@ -235,6 +235,38 @@ Result<GeneralizedRelation> IntersectByIndex(const GeneralizedRelation& a,
   return MaybeSimplify(std::move(out), options);
 }
 
+/// The b rows some probe bucket reaches, in first-reach order, with their
+/// hulls closed on one batched slab (core/columnar.h): an indexed pair loop
+/// hoists only these rows.  slot[j] is b row j's index into `rows` /
+/// `hulls`, -1 when no bucket reaches it.
+struct TouchedRows {
+  std::vector<std::int64_t> slot;
+  std::vector<std::size_t> rows;
+  std::vector<TemporalHull> hulls;
+};
+
+TouchedRows HoistTouchedRows(
+    const GeneralizedRelation& b,
+    const std::vector<std::span<const std::size_t>>& buckets) {
+  TouchedRows out;
+  out.slot.assign(b.tuples().size(), -1);
+  for (std::span<const std::size_t> bucket : buckets) {
+    for (std::size_t j : bucket) {
+      if (out.slot[j] < 0) {
+        out.slot[j] = static_cast<std::int64_t>(out.rows.size());
+        out.rows.push_back(j);
+      }
+    }
+  }
+  Arena arena;
+  ColumnarRelation cols(b, out.rows, &arena);
+  out.hulls.reserve(out.rows.size());
+  for (std::size_t s = 0; s < out.rows.size(); ++s) {
+    out.hulls.push_back(cols.Hull(static_cast<std::int64_t>(s)));
+  }
+  return out;
+}
+
 /// Indexed pair scan (core/index.h): partition b on all data columns, then
 /// reject candidate pairs with the O(1) residue and hull prefilters before
 /// paying lrp intersection + conjunction, and close the conjunction
@@ -264,33 +296,7 @@ Result<GeneralizedRelation> IntersectIndexed(const GeneralizedRelation& a,
               static_cast<std::int64_t>(a.size()) * b.size());
   BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
   ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, "Intersect"));
-  std::vector<std::int64_t> slot(b.tuples().size(), -1);
-  std::vector<TemporalHull> hull_b;
-  if (options.use_columnar) {
-    // Hoist hulls only for the b rows some bucket reaches, closing their
-    // constraint systems on one batched slab (core/columnar.h).
-    std::vector<std::size_t> touched;
-    for (std::span<const std::size_t> bucket : a_buckets) {
-      for (std::size_t j : bucket) {
-        if (slot[j] < 0) {
-          slot[j] = static_cast<std::int64_t>(touched.size());
-          touched.push_back(j);
-        }
-      }
-    }
-    Arena arena;
-    ColumnarRelation cb_cols(b, touched, &arena);
-    hull_b.reserve(touched.size());
-    for (std::size_t s = 0; s < touched.size(); ++s) {
-      hull_b.push_back(cb_cols.Hull(static_cast<std::int64_t>(s)));
-    }
-  } else {
-    hull_b.reserve(b.tuples().size());
-    for (std::size_t j = 0; j < b.tuples().size(); ++j) {
-      slot[j] = static_cast<std::int64_t>(j);
-      hull_b.push_back(TemporalHull::Of(b.tuples()[j]));
-    }
-  }
+  const TouchedRows touched = HoistTouchedRows(b, a_buckets);
   std::vector<std::pair<int, int>> hull_cols;
   hull_cols.reserve(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) hull_cols.emplace_back(i, i);
@@ -320,7 +326,7 @@ Result<GeneralizedRelation> IntersectIndexed(const GeneralizedRelation& a,
                 continue;
               }
               const TemporalHull& hb =
-                  hull_b[static_cast<std::size_t>(slot[j])];
+                  touched.hulls[static_cast<std::size_t>(touched.slot[j])];
               if (ha.infeasible || hb.infeasible ||
                   HullsDisjoint(ha, hb, hull_cols)) {
                 BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
@@ -1263,42 +1269,13 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
     BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
     ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, "Join"));
     // Per-b-tuple hulls and output-space constraint matrices, hoisted out
-    // of the pair loop (both depend only on tb).  Columnar path: hoist only
-    // the rows some bucket can actually reach, closing their constraints in
-    // one batched slab; legacy path: every row, one scalar closure each.
-    // slot[j] maps a b row to its entry in hull_b / cb_mapped.
-    std::vector<std::int64_t> slot(b.tuples().size(), -1);
-    std::vector<TemporalHull> hull_b;
+    // of the pair loop (both depend only on tb) for the reachable rows.
+    const TouchedRows touched = HoistTouchedRows(b, a_buckets);
     std::vector<Dbm> cb_mapped;
-    if (options.use_columnar) {
-      std::vector<std::size_t> touched;
-      for (std::span<const std::size_t> bucket : a_buckets) {
-        for (std::size_t j : bucket) {
-          if (slot[j] < 0) {
-            slot[j] = static_cast<std::int64_t>(touched.size());
-            touched.push_back(j);
-          }
-        }
-      }
-      Arena arena;
-      ColumnarRelation cb_cols(b, touched, &arena);
-      hull_b.reserve(touched.size());
-      cb_mapped.reserve(touched.size());
-      for (std::size_t s = 0; s < touched.size(); ++s) {
-        hull_b.push_back(cb_cols.Hull(static_cast<std::int64_t>(s)));
-        cb_mapped.push_back(b.tuples()[touched[s]].constraints().MapVariables(
-            b_temporal_target, m_out));
-      }
-    } else {
-      hull_b.reserve(b.tuples().size());
-      cb_mapped.reserve(b.tuples().size());
-      for (std::size_t j = 0; j < b.tuples().size(); ++j) {
-        const GeneralizedTuple& tb = b.tuples()[j];
-        slot[j] = static_cast<std::int64_t>(j);
-        hull_b.push_back(TemporalHull::Of(tb));
-        cb_mapped.push_back(
-            tb.constraints().MapVariables(b_temporal_target, m_out));
-      }
+    cb_mapped.reserve(touched.rows.size());
+    for (std::size_t j : touched.rows) {
+      cb_mapped.push_back(
+          b.tuples()[j].constraints().MapVariables(b_temporal_target, m_out));
     }
     ITDB_ASSIGN_OR_RETURN(
         tuples,
@@ -1331,8 +1308,9 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
                               1);
                   continue;
                 }
-                const TemporalHull& hb =
-                    hull_b[static_cast<std::size_t>(slot[j])];
+                const std::size_t slot =
+                    static_cast<std::size_t>(touched.slot[j]);
+                const TemporalHull& hb = touched.hulls[slot];
                 if (ha.infeasible || hb.infeasible ||
                     HullsDisjoint(ha, hb, shared_temporal)) {
                   BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
@@ -1348,7 +1326,7 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
                 for (int j2 : b_new_data) data.push_back(tb.value(j2));
                 GeneralizedTuple t(std::move(lrps), std::move(data));
                 Dbm merged(m_out);
-                const Dbm& cb = cb_mapped[static_cast<std::size_t>(slot[j])];
+                const Dbm& cb = cb_mapped[slot];
                 if (ca_ext.has_value()) {
                   ITDB_ASSIGN_OR_RETURN(
                       merged,

@@ -16,8 +16,9 @@
 // Floyd-Warshall over the slab (dbm_batch.h) instead of one scalar closure
 // per tuple.  The per-row outcomes -- closed matrix, feasibility, overflow
 // -- are bit-identical to the scalar TemporalHull::Of path; Hull(i)
-// materializes exactly that struct.  The fuzzer's layout axis pins the
-// equivalence by running the algebra with the columnar path on and off.
+// materializes exactly that struct.  The fuzzer's determinism matrix pins
+// the equivalence: its indexed configs (which hoist through this view) must
+// match the naive reference kernels.
 //
 // A ColumnarRelation is a VIEW: it borrows its memory from the arena and
 // keeps indices into the source relation for everything not regrouped

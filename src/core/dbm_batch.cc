@@ -144,85 +144,4 @@ Dbm DbmSlab::Extract(std::int64_t t) const {
   return Dbm::FromClosedEntries(num_vars_, entries);
 }
 
-void TightenAndCloseBatch(DbmSlab& slab, const AtomicConstraint& c,
-                          Dbm::TightenResult* results) {
-  const int p = c.lhs + 1;
-  const int q = c.rhs + 1;
-  const std::int64_t w = c.bound;
-  const std::int64_t cnt = slab.count();
-  if (p == q) {
-    const Dbm::TightenResult r = w < 0 ? Dbm::TightenResult::kFallbackNeeded
-                                       : Dbm::TightenResult::kClosed;
-    for (std::int64_t t = 0; t < cnt; ++t) results[t] = r;
-    return;
-  }
-  const int n = slab.nodes();
-  for (std::int64_t t = 0; t < cnt; ++t) {
-    if (w >= slab.at(p, q, t)) {  // Not tighter: already closed.
-      results[t] = Dbm::TightenResult::kClosed;
-      continue;
-    }
-    const std::int64_t qp = slab.at(q, p, t);
-    if (qp != kInf && static_cast<__int128>(qp) + w < 0) {
-      slab.Tighten(p, q, t, w);
-      results[t] = Dbm::TightenResult::kInfeasible;
-      continue;
-    }
-    // Detect-before-mutate, exactly like Dbm::TightenAndClose: any improving
-    // value outside the safe range leaves the system untouched for the
-    // caller's full-closure replay.
-    bool fallback = false;
-    for (int i = 0; i < n && !fallback; ++i) {
-      const std::int64_t ip = slab.at(i, p, t);
-      if (ip == kInf) continue;
-      for (int j = 0; j < n; ++j) {
-        const std::int64_t qj = slab.at(q, j, t);
-        if (qj == kInf) continue;
-        const __int128 via = static_cast<__int128>(ip) + w + qj;
-        if (via < slab.at(i, j, t) &&
-            (via > kBoundLimit || via < -kBoundLimit)) {
-          fallback = true;
-          break;
-        }
-      }
-    }
-    if (fallback) {
-      results[t] = Dbm::TightenResult::kFallbackNeeded;
-      continue;
-    }
-    // Mutate pass.  The scalar kernel snapshots column p and row q before
-    // writing; entry (p, q) itself is both an input (i == p, j == q) and an
-    // output, so snapshot here too.
-    std::int64_t to_p[Dbm::kMaxInlineNodes];
-    std::int64_t from_q[Dbm::kMaxInlineNodes];
-    std::vector<std::int64_t> to_p_heap;
-    std::vector<std::int64_t> from_q_heap;
-    std::int64_t* tp = to_p;
-    std::int64_t* fq = from_q;
-    if (n > static_cast<int>(Dbm::kMaxInlineNodes)) {
-      to_p_heap.resize(static_cast<std::size_t>(n));
-      from_q_heap.resize(static_cast<std::size_t>(n));
-      tp = to_p_heap.data();
-      fq = from_q_heap.data();
-    }
-    for (int i = 0; i < n; ++i) {
-      tp[i] = slab.at(i, p, t);
-      fq[i] = slab.at(q, i, t);
-    }
-    for (int i = 0; i < n; ++i) {
-      const std::int64_t ip = tp[i];
-      if (ip == kInf) continue;
-      for (int j = 0; j < n; ++j) {
-        const std::int64_t qj = fq[j];
-        if (qj == kInf) continue;
-        const __int128 via = static_cast<__int128>(ip) + w + qj;
-        if (via < slab.at(i, j, t)) {
-          slab.at(i, j, t) = static_cast<std::int64_t>(via);
-        }
-      }
-    }
-    results[t] = Dbm::TightenResult::kClosed;
-  }
-}
-
 }  // namespace itdb

@@ -93,15 +93,6 @@ class DbmSlab {
   std::int64_t* slab_;
 };
 
-/// Batched incremental closure: applies the SAME atomic constraint `c` to
-/// every system of `slab` (all closed and feasible), replicating
-/// Dbm::TightenAndClose per system.  results[t] receives the scalar kernel's
-/// TightenResult; systems reporting kFallbackNeeded are left untouched so
-/// the caller can replay the full closure exactly as the scalar path does.
-/// Pre: every system in the slab is a feasible shortest-path closure.
-void TightenAndCloseBatch(DbmSlab& slab, const AtomicConstraint& c,
-                          Dbm::TightenResult* results);
-
 }  // namespace itdb
 
 #endif  // ITDB_CORE_DBM_BATCH_H_

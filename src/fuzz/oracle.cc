@@ -91,9 +91,8 @@ struct EvalConfig {
   int threads;
   bool cache;
   bool index;
-  /// Flat layout: batched-slab normalization sweep (NormalizeOptions::batch)
-  /// plus columnar hoisting in the indexed kernels
-  /// (AlgebraOptions::use_columnar).  false = legacy per-tuple layout.
+  /// Flat layout: batched-slab normalization sweep
+  /// (NormalizeOptions::batch).  false = legacy per-tuple sweep.
   bool flat_layout;
 };
 
@@ -109,7 +108,6 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
   eval.algebra.threads = 1;
   eval.algebra.normalize_cache = nullptr;
   eval.algebra.use_index = false;
-  eval.algebra.use_columnar = false;
   eval.algebra.normalize.batch = false;
   eval.bug = options.bug;
 
@@ -131,9 +129,9 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
   // ---- Determinism matrix: {1, N} threads x {off, on} memo-cache x
   // {naive, indexed} kernels x {legacy, flat} layout.  The indexed configs
   // pin the bit-identity contract of the hash-partitioned Join / Intersect /
-  // Subtract kernels with prefilters and incremental closures; the flat
-  // configs pin the batched-slab normalization sweep and the columnar /
-  // arena hoisting against the legacy per-tuple layout.  Indexed budgets
+  // Subtract kernels with prefilters, columnar hoisting and incremental
+  // closures; the flat configs pin the batched-slab normalization sweep
+  // against the legacy per-tuple sweep.  Indexed budgets
   // charge candidate pairs, a lower bound of the naive raw product, so an
   // indexed config can never exhaust a budget the naive reference
   // survived. ----
@@ -154,7 +152,6 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
     alt.algebra.threads = cfg.threads;
     alt.algebra.normalize_cache = cfg.cache ? &cache : nullptr;
     alt.algebra.use_index = cfg.index;
-    alt.algebra.use_columnar = cfg.flat_layout;
     alt.algebra.normalize.batch = cfg.flat_layout;
     Result<GeneralizedRelation> got = EvalExpr(expr, db, alt);
     if (!got.ok()) {

@@ -39,6 +39,8 @@ class StatsCache;  // core/stats.h
 
 namespace query {
 
+struct PreparedQuery;  // query/prepare.h
+
 struct QueryOptions {
   AlgebraOptions algebra;
   /// Run the static analyzer (analysis/analyzer.h) before evaluation.
@@ -102,9 +104,20 @@ struct ProfiledResult {
   obs::Profile profile;
 };
 
-/// Evaluates an open query; see the semantics above.
+/// Evaluates an open query; see the semantics above.  Prepare
+/// (query/prepare.h) plus EvalPrepared.
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
                                       const QueryOptions& options = {});
+
+/// Evaluates a prepared statement, preparing it again first if it is not
+/// current.  With `profile`, as EvalQueryProfiled.
+Result<GeneralizedRelation> EvalPrepared(const Database& db,
+                                         const PreparedQuery& prepared,
+                                         const QueryOptions& options,
+                                         obs::Profile* profile = nullptr);
+Result<bool> EvalBooleanPrepared(const Database& db,
+                                 const PreparedQuery& prepared,
+                                 const QueryOptions& options);
 
 /// An evaluation result together with everything the analyzer found.  When
 /// the analysis has error-severity diagnostics, `relation` is nullopt (and
@@ -148,8 +161,8 @@ Result<ProfiledResult> EvalQueryStringProfiled(
 
 /// The indented plan tree EXPLAIN prints: one line per plan node, labeled
 /// exactly like the spans EvalQueryProfiled opens (AND / OR / NOT /
-/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).  Apply
-/// query::Optimize first to see the plan evaluation actually runs.
+/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).  Print the tree of
+/// query::PlanPrepared to see the plan evaluation actually runs.
 std::string FormatQueryPlan(const QueryPtr& q);
 
 /// The label of one plan node: what EXPLAIN prints, what its trace span is

@@ -1,28 +1,10 @@
 #include "server/admission.h"
 
-#include "analysis/analyzer.h"
 #include "obs/metrics.h"
-#include "util/diagnostic.h"
+#include "query/prepare.h"
 
 namespace itdb {
 namespace server {
-
-namespace {
-
-/// The pre-certificate grading: heavy iff the cost pass guessed an
-/// NP-regime complement (A010) or a period blowup (A012).  Kept as the
-/// fallback for queries whose certificate is unbounded -- exactly the
-/// queries the guesses were invented for.
-CostClass ClassifyHeuristic(const analysis::AnalysisResult& result) {
-  for (const Diagnostic& d : result.diagnostics) {
-    if (d.code == diag::kExpensiveComplement || d.code == diag::kPeriodBlowup) {
-      return CostClass::kHeavy;
-    }
-  }
-  return CostClass::kNormal;
-}
-
-}  // namespace
 
 bool AdmissionQueue::TryAdmit(CostClass cls) {
   if (cls == CostClass::kHeavy && !PromoteToHeavy()) return false;
@@ -64,30 +46,9 @@ void AdmissionQueue::Release(CostClass cls) {
 }
 
 CostGrade GradeQueryCost(const Database& db, const query::QueryPtr& q) {
-  analysis::AnalyzeOptions options;
-  // Only the cost and certificate passes matter here; emptiness proofs (DBM
-  // closures over every conjunction) are the expensive part of analysis and
-  // evaluation re-runs them anyway.
-  options.check_emptiness = false;
-  analysis::AnalysisResult result = analysis::Analyze(db, q, options);
-  CostGrade grade;
-  if (result.HasErrors()) return grade;
-  grade.root_certificate = result.root_certificate;
-  if (grade.root_certificate.bounded()) {
-    // Certified grading: the sound bounds replace the guesses in both
-    // directions.  The thresholds are the analyzer's own (A014 / A015).
-    const bool huge =
-        *grade.root_certificate.rows > options.certified_rows_threshold ||
-        *grade.root_certificate.lcm > options.period_blowup_threshold;
-    grade.cls = huge ? CostClass::kHeavy : CostClass::kNormal;
-    return grade;
-  }
-  grade.cls = ClassifyHeuristic(result);
-  return grade;
-}
-
-CostClass ClassifyQueryCost(const Database& db, const query::QueryPtr& q) {
-  return GradeQueryCost(db, q).cls;
+  query::QueryOptions options;
+  options.analysis.check_emptiness = false;
+  return query::Prepare(db, q, options).grade;
 }
 
 }  // namespace server

@@ -27,22 +27,15 @@
 #include <atomic>
 #include <cstdint>
 
-#include "analysis/absint.h"
+#include "analysis/analyzer.h"
 #include "query/ast.h"
 #include "storage/database.h"
 
 namespace itdb {
 namespace server {
 
-/// The admission-relevant grade of a query.
-enum class CostClass {
-  kNormal,
-  /// Worst-case exponential work: certified bounds above the analyzer's
-  /// thresholds, or an unbounded certificate with the A010
-  /// (NP-complete-regime complement) / A012 (period-blowup) heuristics
-  /// firing.
-  kHeavy,
-};
+using analysis::CostClass;
+using analysis::CostGrade;
 
 struct AdmissionOptions {
   /// Maximum requests admitted at once (queued + executing).  0 sheds
@@ -108,27 +101,11 @@ class AdmissionQueue {
   std::atomic<std::int64_t> admitted_{0};
 };
 
-/// A query's cost grade together with the certificate that justified it.
-struct CostGrade {
-  CostClass cls = CostClass::kNormal;
-  /// The root certificate of the grading analysis (top when analysis had
-  /// errors or the certificate pass was off).  An unbounded root
-  /// certificate also makes the query ineligible for the result cache: a
-  /// result whose size the analysis cannot bound must not displace
-  /// certified-small entries.
-  analysis::Certificate root_certificate;
-};
-
-/// Grades `q` against `db`: runs the analyzer (without the emptiness pass;
-/// DBM closures are the expensive part and evaluation re-runs them anyway)
-/// and grades from the root certificate when it is bounded, falling back
-/// to the A010/A012 heuristics when it is not.  Queries that fail analysis
-/// grade kNormal -- evaluation will report the real error with its own
-/// diagnostics.
+/// Grades `q` against `db` from a query::Prepare of it (analysis::GradeCost)
+/// -- without the emptiness pass, whose DBM closures are the expensive part
+/// of analysis and play no part in the grade.  The server grades from the
+/// statement's own PreparedQuery instead; this is the standalone form.
 CostGrade GradeQueryCost(const Database& db, const query::QueryPtr& q);
-
-/// GradeQueryCost reduced to its class.
-CostClass ClassifyQueryCost(const Database& db, const query::QueryPtr& q);
 
 }  // namespace server
 }  // namespace itdb

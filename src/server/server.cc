@@ -10,12 +10,12 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "query/parser.h"
 #include "storage/wal/storage_engine.h"
 #include "util/errno_message.h"
 #include "util/thread_pool.h"
@@ -344,42 +344,27 @@ void Server::HandleStatement(Connection& conn, const std::string& statement) {
                "overloaded: admission queue is full, retry later\n");
     return;
   }
-  // Class-aware admission: evaluating statements are graded AFTER clearing
-  // the total bound (shedding under overload must never pay for analysis)
-  // and heavy ones must also clear the smaller heavy bound, so worst-case-
-  // exponential queries cannot occupy every worker.
-  CostClass cls = CostClass::kNormal;
-  if (verb == "ask" || verb == "query" || verb == "profile" ||
-      verb == "PROFILE") {
-    cls = ClassifyStatement(verb, statement);
-    if (cls == CostClass::kHeavy && !admission_.PromoteToHeavy()) {
-      admission_.Release(CostClass::kNormal);
-      WriteFrame(conn, ResponseStatus::kRetry,
-                 "overloaded: heavy-query admission is full, retry later\n");
-      return;
-    }
+  // Class-aware admission: evaluating statements are prepared and graded
+  // AFTER clearing the total bound (shedding under overload must never pay
+  // for analysis) and heavy ones must also clear the smaller heavy bound,
+  // so worst-case-exponential queries cannot occupy every worker.  The
+  // prepared statement then runs as is: it is compiled once.
+  const std::optional<query::PreparedQuery> prepared =
+      conn.session.Prepare(statement);
+  const CostClass cls =
+      prepared.has_value() ? prepared->grade.cls : CostClass::kNormal;
+  if (cls == CostClass::kHeavy && !admission_.PromoteToHeavy()) {
+    admission_.Release(CostClass::kNormal);
+    WriteFrame(conn, ResponseStatus::kRetry,
+               "overloaded: heavy-query admission is full, retry later\n");
+    return;
   }
   std::ostringstream out;
-  Status status = conn.session.Execute(statement, out);
+  Status status = conn.session.Execute(
+      statement, out, prepared.has_value() ? &*prepared : nullptr);
   admission_.Release(cls);
   WriteFrame(conn, status.ok() ? ResponseStatus::kOk : ResponseStatus::kError,
              out.str());
-}
-
-CostClass Server::ClassifyStatement(std::string_view verb,
-                                    const std::string& statement) {
-  std::string_view body = statement;
-  const std::size_t verb_at = body.find(verb);
-  if (verb_at == std::string_view::npos) return CostClass::kNormal;
-  body.remove_prefix(verb_at + verb.size());
-  const std::size_t start = body.find_first_not_of(" \t\n");
-  if (start == std::string_view::npos) return CostClass::kNormal;
-  body.remove_prefix(start);
-  Result<query::QueryPtr> q = query::ParseQuery(body);
-  if (!q.ok()) return CostClass::kNormal;
-  return shared_db_.WithRead([&](const Database& db) {
-    return ClassifyQueryCost(db, q.value());
-  });
 }
 
 std::string Server::StatusReport() {

@@ -119,11 +119,6 @@ class Server {
   /// Worker entry: executes the connection's queued statements in order.
   void PumpConnection(const std::shared_ptr<Connection>& conn);
   void HandleStatement(Connection& conn, const std::string& statement);
-  /// Grades an evaluating statement (ask / query / profile) for class-aware
-  /// admission.  Unparseable statements grade kNormal; execution reports
-  /// the real error.
-  CostClass ClassifyStatement(std::string_view verb,
-                              const std::string& statement);
   std::string StatusReport();
   static void WriteFrame(Connection& conn, ResponseStatus status,
                          std::string_view payload);

@@ -9,16 +9,13 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/analyzer.h"
 #include "core/coalesce.h"
 #include "core/simplify.h"
 #include "core/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/optimize.h"
 #include "query/parser.h"
 #include "query/planner.h"
-#include "query/sorts.h"
 #include "server/admission.h"
 #include "storage/binary/binary_format.h"
 #include "storage/text_format.h"
@@ -44,7 +41,7 @@ constexpr const char* kHelp = R"(commands:
   query <query>                 open query; prints the result relation
   fetch [n]                     next n tuples of the last `query` result
   set [<name> <value>]          per-session options; bare `set` lists them
-  explain <query>               print the (optimized) query-plan tree
+  explain <query>               print the query plan evaluation runs
   profile <query>               evaluate with tracing; prints per-plan-node
                                 wall/CPU time, tuple counts, and kernel stats
   metrics                       dump the process-global metrics registry
@@ -187,32 +184,6 @@ Status CmdEnumerate(std::ostream& out, const Database& db,
   return Status::Ok();
 }
 
-// Static analysis of a first-order query: rustc-style caret diagnostics,
-// then a one-line summary.  Findings go to `out` as ordinary output; the
-// command itself only fails on I/O-level problems, so scripted `check`
-// runs (tools/check_queries.py) can assert on the printed codes.
-Status CmdCheckQuery(std::ostream& out, const Database& db,
-                     const std::string& text) {
-  Result<query::QueryPtr> q = query::ParseQuery(text);
-  if (!q.ok()) {
-    out << "error[parse]: " << q.status().message() << "\n";
-    out << "check: 1 error(s), 0 warning(s)\n";
-    return Status::Ok();
-  }
-  analysis::AnalysisResult result = analysis::Analyze(db, q.value());
-  out << FormatDiagnostics(text, result.diagnostics);
-  if (result.root_proven_empty) {
-    out << "note: the query result is statically empty\n";
-  }
-  if (result.diagnostics.empty()) {
-    out << "check: ok\n";
-  } else {
-    out << "check: " << result.errors() << " error(s), " << result.warnings()
-        << " warning(s)\n";
-  }
-  return Status::Ok();
-}
-
 Status CmdCheckTl(std::ostream& out, const Database& db,
                   const std::string& text) {
   ITDB_ASSIGN_OR_RETURN(tl::TlPtr formula, tl::ParseTlFormula(text));
@@ -275,52 +246,6 @@ Status CmdWitness(std::ostream& out, const Database& db,
   } else {
     out << "empty relation\n";
   }
-  return Status::Ok();
-}
-
-Status CmdExplain(std::ostream& out, const Database& db,
-                  const query::QueryOptions& opts, const std::string& text) {
-  ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(text));
-  out << "query:     " << q->ToString() << "\n";
-  query::QueryPtr optimized = query::Optimize(q);
-  out << "optimized: " << optimized->ToString() << "\n";
-  // Analyzer findings in a STABLE severity order -- errors, then warnings,
-  // then notes, pass order within each severity -- so scripts can pin the
-  // first analysis line regardless of which pass found what.
-  analysis::AnalysisResult analyzed = analysis::Analyze(db, q);
-  if (!analyzed.diagnostics.empty()) {
-    std::vector<Diagnostic> ordered = analyzed.diagnostics;
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const Diagnostic& a, const Diagnostic& b) {
-                       return static_cast<int>(a.severity) >
-                              static_cast<int>(b.severity);
-                     });
-    out << "analysis:\n" << FormatDiagnosticList(ordered) << "\n";
-  }
-  if (opts.cost_plan) {
-    // Show the PLANNED tree with the estimates that ordered it and, when
-    // certified bounds are on, the certificates that clamped them.  Sort
-    // inference can fail (unknown relations, sort conflicts); the
-    // unestimated tree is still worth printing then.
-    Result<query::SortMap> sorts = query::InferSorts(db, optimized);
-    if (sorts.ok()) {
-      std::optional<analysis::AbstractInterpreter> interp;
-      if (opts.certified_bounds) {
-        interp.emplace(db, sorts.value(), opts.stats_cache);
-        interp->SeedActiveDomain(*q);
-        interp->Interpret(optimized);
-      }
-      query::PlannedQuery planned =
-          query::PlanQuery(db, optimized, sorts.value(), opts.stats_cache,
-                           interp.has_value() ? &*interp : nullptr);
-      out << "plan:\n"
-          << query::FormatQueryPlanWithEstimates(
-                 planned.query, planned.estimates,
-                 interp.has_value() ? &interp->certificates() : nullptr);
-      return Status::Ok();
-    }
-  }
-  out << "plan:\n" << query::FormatQueryPlan(optimized);
   return Status::Ok();
 }
 
@@ -427,7 +352,22 @@ Session::FeedResult Session::Feed(std::string_view line, std::ostream& out) {
   return result;
 }
 
-Status Session::Execute(std::string_view statement, std::ostream& out) {
+std::optional<query::PreparedQuery> Session::Prepare(
+    std::string_view statement) const {
+  std::string rest;
+  const std::string verb = SplitCommand(std::string(statement), &rest);
+  if (verb != "ask" && verb != "query" && verb != "profile" &&
+      verb != "PROFILE") {
+    return std::nullopt;
+  }
+  Result<query::QueryPtr> q = query::ParseQuery(rest);
+  if (!q.ok()) return std::nullopt;
+  return db_->WithRead(
+      [&](const Database& db) { return PrepareQuery(db, q.value(), true); });
+}
+
+Status Session::Execute(std::string_view statement, std::ostream& out,
+                        const query::PreparedQuery* prepared) {
   std::string line(statement);
   std::string rest;
   std::string verb = SplitCommand(line, &rest);
@@ -439,7 +379,7 @@ Status Session::Execute(std::string_view statement, std::ostream& out) {
   obs::Span span =
       obs::Span::Begin(obs::ResolveTracer(options_.query.tracer), verb,
                        "server");
-  Status status = Dispatch(verb, rest, out);
+  Status status = Dispatch(verb, rest, out, prepared);
   span.AddArg("ok", status.ok() ? 1 : 0);
   span.End();
   obs::MetricsRegistry::Global()
@@ -456,7 +396,8 @@ Status Session::Execute(std::string_view statement, std::ostream& out) {
 }
 
 Status Session::Dispatch(const std::string& verb, const std::string& rest,
-                         std::ostream& out) {
+                         std::ostream& out,
+                         const query::PreparedQuery* prepared) {
   if (options_.read_only &&
       (verb == "define" || verb == "load" || verb == "save" ||
        verb == "drop" || verb == "coalesce" || verb == "simplify" ||
@@ -488,45 +429,25 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
     return db_->WithRead(
         [&](const Database& db) { return CmdEnumerate(out, db, rest); });
   }
-  if (verb == "ask") return CmdAsk(out, rest);
-  if (verb == "query") return CmdQuery(out, rest);
+  if (verb == "ask" || verb == "query") {
+    return EvalStatement(verb, rest, out, prepared);
+  }
+  if (verb == "profile" || verb == "PROFILE") {
+    return EvalStatement("profile", rest, out, prepared);
+  }
   if (verb == "fetch") return CmdFetch(out, rest);
   if (verb == "set") return CmdSet(out, rest);
-  if (verb == "explain" || verb == "EXPLAIN") {
-    return db_->WithRead([&](const Database& db) {
-      query::QueryOptions opts = options_.query;
-      if (opts.stats_cache == nullptr) opts.stats_cache = options_.stats_cache;
-      return CmdExplain(out, db, opts, rest);
-    });
-  }
+  if (verb == "explain" || verb == "EXPLAIN") return CmdExplain(out, rest);
   if (verb == "stats") {
     return db_->WithRead([&](const Database& db) {
       return CmdStats(out, db, rest, options_.stats_cache);
-    });
-  }
-  if (verb == "profile" || verb == "PROFILE") {
-    ++stats_.queries;
-    obs::AddGlobalCounter("server.queries", 1);
-    ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(rest));
-    return db_->WithRead([&](const Database& db) -> Status {
-      std::int64_t deadline_ms = options_.deadline_ms;
-      query::QueryOptions opts = EffectiveOptions(db, q, &deadline_ms);
-      DeadlineGuard deadline(deadline_ms);
-      ITDB_ASSIGN_OR_RETURN(query::ProfiledResult profiled,
-                            query::EvalQueryProfiled(db, q, opts));
-      out << profiled.profile.ToText();
-      out << profiled.relation.size() << " generalized tuple(s)\n";
-      return Status::Ok();
     });
   }
   if (verb == "metrics") {
     CmdMetrics(out);
     return Status::Ok();
   }
-  if (verb == "check") {
-    return db_->WithRead(
-        [&](const Database& db) { return CmdCheckQuery(out, db, rest); });
-  }
+  if (verb == "check") return CmdCheck(out, rest);
   if (verb == "tlcheck") {
     return db_->WithRead([&](const Database& db) {
       DeadlineGuard deadline(options_.deadline_ms);
@@ -649,12 +570,74 @@ Status Session::CmdDefine(const std::string& text) {
   });
 }
 
-Status Session::CmdAsk(std::ostream& out, const std::string& text) {
-  return EvalThroughBatcher("ask", text, out);
+Status Session::CmdExplain(std::ostream& out, const std::string& text) const {
+  ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(text));
+  return db_->WithRead([&](const Database& db) -> Status {
+    const query::QueryOptions opts = BaseOptions();
+    const query::PreparedQuery prepared = PrepareQuery(db, q, true);
+    out << "query:     " << q->ToString() << "\n";
+    out << "optimized: " << prepared.optimized->ToString() << "\n";
+    // Analyzer findings in a STABLE severity order -- errors, then
+    // warnings, then notes, pass order within each severity -- so scripts
+    // can pin the first analysis line regardless of which pass found what.
+    if (!prepared.analysis->diagnostics.empty()) {
+      std::vector<Diagnostic> ordered = prepared.analysis->diagnostics;
+      std::stable_sort(ordered.begin(), ordered.end(),
+                       [](const Diagnostic& a, const Diagnostic& b) {
+                         return static_cast<int>(a.severity) >
+                                static_cast<int>(b.severity);
+                       });
+      out << "analysis:\n" << FormatDiagnosticList(ordered) << "\n";
+    }
+    // The plan evaluation runs: the tree after the analyzer's sound
+    // rewrites, planned with the estimates that ordered it and, when
+    // certified bounds are on, the certificates that clamped them.
+    out << "plan:\n";
+    Result<query::ExecutionPlan> plan =
+        query::PlanPrepared(db, prepared, opts);
+    if (!plan.ok()) {
+      // Analysis errors and sort conflicts stop evaluation; the unplanned
+      // tree is still worth printing.
+      out << query::FormatQueryPlan(prepared.optimized);
+    } else if (plan->tree == nullptr) {
+      out << "(none: the result is statically empty)\n";
+    } else if (opts.cost_plan) {
+      out << query::FormatQueryPlanWithEstimates(
+          plan->tree, plan->estimates,
+          opts.certified_bounds ? &plan->certificates : nullptr);
+    } else {
+      out << query::FormatQueryPlan(plan->tree);
+    }
+    return Status::Ok();
+  });
 }
 
-Status Session::CmdQuery(std::ostream& out, const std::string& text) {
-  return EvalThroughBatcher("query", text, out);
+// Static analysis of a first-order query: rustc-style caret diagnostics,
+// then a one-line summary.  Findings go to `out` as ordinary output; the
+// command itself only fails on I/O-level problems, so scripted `check`
+// runs (tools/check_queries.py) can assert on the printed codes.
+Status Session::CmdCheck(std::ostream& out, const std::string& text) const {
+  Result<query::QueryPtr> q = query::ParseQuery(text);
+  if (!q.ok()) {
+    out << "error[parse]: " << q.status().message() << "\n";
+    out << "check: 1 error(s), 0 warning(s)\n";
+    return Status::Ok();
+  }
+  return db_->WithRead([&](const Database& db) {
+    const query::PreparedQuery prepared = PrepareQuery(db, q.value(), true);
+    const analysis::AnalysisResult& result = *prepared.analysis;
+    out << FormatDiagnostics(text, result.diagnostics);
+    if (result.root_proven_empty) {
+      out << "note: the query result is statically empty\n";
+    }
+    if (result.diagnostics.empty()) {
+      out << "check: ok\n";
+    } else {
+      out << "check: " << result.errors() << " error(s), "
+          << result.warnings() << " warning(s)\n";
+    }
+    return Status::Ok();
+  });
 }
 
 Status Session::CmdFetch(std::ostream& out, const std::string& args) {
@@ -739,18 +722,27 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
   return Status::InvalidArgument("bad value \"" + value + "\" for " + name);
 }
 
-query::QueryOptions Session::EffectiveOptions(const Database& db,
-                                              const query::QueryPtr& q,
-                                              std::int64_t* deadline_ms,
-                                              const CostGrade* grade) const {
+query::QueryOptions Session::BaseOptions() const {
   query::QueryOptions opts = options_.query;
   if (opts.algebra.normalize_cache == nullptr) {
     opts.algebra.normalize_cache = options_.normalize_cache;
   }
   if (opts.stats_cache == nullptr) opts.stats_cache = options_.stats_cache;
-  if (options_.cost_aware_budgets &&
-      (grade != nullptr ? grade->cls : ClassifyQueryCost(db, q)) ==
-          CostClass::kHeavy) {
+  return opts;
+}
+
+query::PreparedQuery Session::PrepareQuery(const Database& db,
+                                           const query::QueryPtr& q,
+                                           bool analyze) const {
+  query::QueryOptions opts = BaseOptions();
+  opts.analyze = analyze;
+  return query::Prepare(db, q, opts);
+}
+
+query::QueryOptions Session::EffectiveOptions(
+    const CostGrade& grade, std::int64_t* deadline_ms) const {
+  query::QueryOptions opts = BaseOptions();
+  if (options_.cost_aware_budgets && grade.cls == CostClass::kHeavy) {
     const std::int64_t d =
         std::max<std::int64_t>(1, options_.heavy_budget_divisor);
     opts.algebra.max_tuples =
@@ -766,69 +758,57 @@ query::QueryOptions Session::EffectiveOptions(const Database& db,
   return opts;
 }
 
-Status Session::EvalThroughBatcher(std::string_view verb,
-                                   const std::string& text,
-                                   std::ostream& out) {
+Status Session::EvalStatement(std::string_view verb, const std::string& text,
+                              std::ostream& out,
+                              const query::PreparedQuery* prepared) {
   ++stats_.queries;
   obs::AddGlobalCounter("server.queries", 1);
-  ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(text));
+  query::QueryPtr q = prepared != nullptr ? prepared->query : nullptr;
+  if (q == nullptr) {
+    ITDB_ASSIGN_OR_RETURN(q, query::ParseQuery(text));
+  }
   return db_->WithRead([&](const Database& db) -> Status {
-    std::int64_t deadline_ms = options_.deadline_ms;
-    // One grading analysis serves both budget division and, later, the
-    // result cache's certified-cacheability check.  Lazy: cache hits and
-    // budget-indifferent sessions never pay for it up front.
-    std::optional<CostGrade> grade;
-    if (options_.cost_aware_budgets) grade = GradeQueryCost(db, q);
-    query::QueryOptions opts = EffectiveOptions(
-        db, q, &deadline_ms, grade.has_value() ? &*grade : nullptr);
-    auto compute = [&]() -> QueryBatcher::Outcome {
-      QueryBatcher::Outcome o;
-      std::ostringstream rendered;
-      DeadlineGuard deadline(deadline_ms);
-      if (verb == "ask") {
-        Result<bool> truth = query::EvalBooleanQuery(db, q, opts);
-        if (!truth.ok()) {
-          o.status = truth.status();
-          return o;
-        }
-        rendered << (truth.value() ? "true" : "false") << "\n";
-      } else {
-        Result<GeneralizedRelation> rel = query::EvalQuery(db, q, opts);
-        if (!rel.ok()) {
-          o.status = rel.status();
-          return o;
-        }
-        o.relation = std::make_shared<const GeneralizedRelation>(
-            std::move(rel).value());
-        rendered << PrintRelation("result", *o.relation);
-        rendered << o.relation->size() << " generalized tuple(s)\n";
-      }
-      o.text = rendered.str();
-      return o;
+    // A write since `prepared` was made (e.g. between admission and this
+    // worker) forces a fresh prepare: proofs describe the data they saw.
+    // Evaluation, cost-aware budgets and cache admission want the
+    // analysis, but it waits out a possible cache hit when it can.
+    const bool wants_analysis = options_.query.analyze ||
+                                options_.cost_aware_budgets ||
+                                options_.result_cache != nullptr;
+    const bool may_hit = verb != "profile" && options_.result_cache != nullptr;
+    std::optional<query::PreparedQuery> fresh;
+    auto prepare = [&](bool analyze) {
+      fresh = PrepareQuery(db, q, analyze);
+      prepared = &*fresh;
     };
-    // The fingerprint is the normalized plan shape plus every option that
-    // can change the rendered outcome.  Thread count is deliberately
-    // absent: results are bit-identical at every thread count (and, by the
-    // planner's guarantee, across cost_plan too -- it is keyed anyway so a
+    if (prepared == nullptr || prepared->db_version != db.version()) {
+      prepare(wants_analysis && (options_.cost_aware_budgets || !may_hit));
+    }
+    std::int64_t deadline_ms = options_.deadline_ms;
+    const query::QueryOptions opts =
+        EffectiveOptions(prepared->grade, &deadline_ms);
+    // The key is the prepared plan shape plus every option that can change
+    // the rendered outcome.  Thread count is deliberately absent: results
+    // are bit-identical at every thread count (and, by the planner's
+    // guarantee, across cost_plan too -- it is keyed anyway so a
     // budget-shaped divergence can never alias).  The database version is
     // read under the same reader lock the evaluation holds, so it is
-    // exactly the version the evaluation observes.
+    // exactly the version the evaluation observes.  Profiles carry
+    // timings: never batched, never cached.
     std::string key;
     std::uint64_t version = 0;
-    if (options_.batcher != nullptr || options_.result_cache != nullptr) {
+    if (verb != "profile" && (options_.batcher || options_.result_cache)) {
       std::ostringstream fp;
-      fp << verb << '\x1f'
-         << (opts.optimize ? query::Optimize(q)->ToString() : q->ToString())
-         << '\x1f' << opts.analyze << opts.optimize
-         << opts.prune_intermediates << opts.cost_plan
-         << opts.certified_bounds << '\x1f'
+      fp << verb << '\x1f' << prepared->fingerprint << '\x1f'
+         << opts.analyze << opts.optimize << opts.prune_intermediates
+         << opts.cost_plan << opts.certified_bounds << '\x1f'
          << opts.algebra.max_tuples << '/'
          << opts.algebra.max_complement_universe << '/'
          << opts.algebra.normalize.max_split_product << '/' << deadline_ms;
       key = fp.str();
       version = db_->version();
     }
-    if (options_.result_cache != nullptr) {
+    if (may_hit) {
       std::optional<CachedResult> hit =
           options_.result_cache->Lookup(key, version);
       if (hit.has_value()) {
@@ -841,6 +821,42 @@ Status Session::EvalThroughBatcher(std::string_view verb,
         return Status::Ok();
       }
     }
+    if (wants_analysis && !prepared->analysis.has_value()) prepare(true);
+    const query::PreparedQuery& p = *prepared;
+    if (verb == "profile") {
+      DeadlineGuard deadline(deadline_ms);
+      obs::Profile profile;
+      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
+                            query::EvalPrepared(db, p, opts, &profile));
+      out << profile.ToText();
+      out << relation.size() << " generalized tuple(s)\n";
+      return Status::Ok();
+    }
+    auto compute = [&]() -> QueryBatcher::Outcome {
+      QueryBatcher::Outcome o;
+      std::ostringstream rendered;
+      DeadlineGuard deadline(deadline_ms);
+      if (verb == "ask") {
+        Result<bool> truth = query::EvalBooleanPrepared(db, p, opts);
+        if (!truth.ok()) {
+          o.status = truth.status();
+          return o;
+        }
+        rendered << (truth.value() ? "true" : "false") << "\n";
+      } else {
+        Result<GeneralizedRelation> rel = query::EvalPrepared(db, p, opts);
+        if (!rel.ok()) {
+          o.status = rel.status();
+          return o;
+        }
+        o.relation = std::make_shared<const GeneralizedRelation>(
+            std::move(rel).value());
+        rendered << PrintRelation("result", *o.relation);
+        rendered << o.relation->size() << " generalized tuple(s)\n";
+      }
+      o.text = rendered.str();
+      return o;
+    };
     QueryBatcher::Outcome outcome;
     bool shared = false;
     if (options_.batcher != nullptr) {
@@ -855,8 +871,7 @@ Status Session::EvalThroughBatcher(std::string_view verb,
       // to the shared cache.  An unbounded-certificate result may be
       // arbitrarily large relative to its query, so caching it could
       // displace any number of certified-small entries.
-      if (!grade.has_value()) grade = GradeQueryCost(db, q);
-      if (grade->root_certificate.bounded()) {
+      if (p.grade.root_certificate.bounded()) {
         options_.result_cache->Insert(key, version,
                                       CachedResult{outcome.text,
                                                    outcome.relation});

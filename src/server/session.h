@@ -10,8 +10,8 @@
 // explain / profile / check / ...) evaluate under the shared lock, mutating
 // verbs (define / load / drop / coalesce / simplify) under the exclusive
 // one.  The shell is now a thin client of Feed(); the server drives
-// AppendLine()/Execute() directly so statement assembly stays on its event
-// loop while execution runs on pool workers.
+// AppendLine() on its event loop and Prepare()/Execute() on pool workers,
+// grading admission from the prepared statement it then executes.
 //
 // Statement grammar: exactly the shell's command set (help prints it), plus
 //   fetch [n]          next n tuples of the last `query` result (cursor)
@@ -41,6 +41,7 @@
 #include "core/normalize_cache.h"
 #include "core/relation.h"
 #include "query/eval.h"
+#include "query/prepare.h"
 #include "server/admission.h"
 #include "server/batcher.h"
 #include "server/result_cache.h"
@@ -118,10 +119,18 @@ class Session {
   /// only -- continuation lines pass through to the relation parser intact.
   std::optional<std::string> AppendLine(std::string_view line);
 
+  /// Prepares an ask / query / profile statement, analysis on, under the
+  /// reader lock (query/prepare.h); nullopt for other verbs and parse
+  /// errors.  The server grades admission from it and passes it to Execute.
+  std::optional<query::PreparedQuery> Prepare(
+      std::string_view statement) const;
+
   /// Executes one complete statement.  Output and error reports go to
   /// `out`; the returned Status is the command's outcome.  Never executes
-  /// quit/exit (route those via Feed or IsQuitStatement).
-  Status Execute(std::string_view statement, std::ostream& out);
+  /// quit/exit (route those via Feed or IsQuitStatement).  `prepared`, from
+  /// Prepare(statement), is used unless a write landed since it was made.
+  Status Execute(std::string_view statement, std::ostream& out,
+                 const query::PreparedQuery* prepared = nullptr);
 
   /// True for quit / exit statements.
   static bool IsQuitStatement(std::string_view statement);
@@ -146,26 +155,28 @@ class Session {
 
  private:
   Status Dispatch(const std::string& verb, const std::string& rest,
-                  std::ostream& out);
-  Status CmdQuery(std::ostream& out, const std::string& text);
-  Status CmdAsk(std::ostream& out, const std::string& text);
+                  std::ostream& out, const query::PreparedQuery* prepared);
   Status CmdFetch(std::ostream& out, const std::string& args);
   Status CmdSet(std::ostream& out, const std::string& args);
   Status CmdLoad(const std::string& path);
   Status CmdDefine(const std::string& text);
+  Status CmdExplain(std::ostream& out, const std::string& text) const;
+  Status CmdCheck(std::ostream& out, const std::string& text) const;
 
-  /// Evaluation options for `q`, with heavy-class budget division applied.
-  /// `grade` is the precomputed cost grade (admission.h); null classifies
-  /// here when cost_aware_budgets is set.
-  query::QueryOptions EffectiveOptions(const Database& db,
-                                       const query::QueryPtr& q,
-                                       std::int64_t* deadline_ms,
-                                       const CostGrade* grade = nullptr) const;
-
-  /// Runs a read-only, deterministic evaluation -- through the batcher when
-  /// configured -- rendering output into `out`.
-  Status EvalThroughBatcher(std::string_view verb, const std::string& text,
-                            std::ostream& out);
+  /// The session's query options with the shared caches filled in.
+  query::QueryOptions BaseOptions() const;
+  /// Prepares `q` with BaseOptions, analyzing iff `analyze`; the `analyze`
+  /// option only decides whether evaluation acts on the findings.
+  query::PreparedQuery PrepareQuery(const Database& db,
+                                    const query::QueryPtr& q,
+                                    bool analyze) const;
+  /// BaseOptions, with budgets and `deadline_ms` divided for a heavy
+  /// `grade` when cost_aware_budgets is set.
+  query::QueryOptions EffectiveOptions(const CostGrade& grade,
+                                       std::int64_t* deadline_ms) const;
+  /// Runs ask / query (through the batcher and result cache) or profile.
+  Status EvalStatement(std::string_view verb, const std::string& text,
+                       std::ostream& out, const query::PreparedQuery* prepared);
 
   SharedDatabase* db_;
   SessionOptions options_;

@@ -74,75 +74,6 @@ TEST(DbmBatchTest, CloseAllMatchesScalarClose) {
   }
 }
 
-// TightenAndCloseBatch must reproduce the scalar TightenAndClose per
-// system: same TightenResult, and -- on kClosed / kInfeasible -- the same
-// matrix.  kFallbackNeeded must leave the batch system untouched, exactly
-// like the scalar kernel.
-TEST(DbmBatchTest, TightenAndCloseBatchMatchesScalar) {
-  std::mt19937_64 rng(987654321);
-  Arena arena;
-  std::uniform_int_distribution<int> var_dist_any(-1, 3);
-  for (int round = 0; round < 40; ++round) {
-    const int num_vars = 4;
-    constexpr std::int64_t kCount = 32;
-    const bool wild = round % 2 == 1;
-    // Build closed feasible bases (the kernel's precondition).
-    std::vector<Dbm> bases;
-    while (static_cast<std::int64_t>(bases.size()) < kCount) {
-      Dbm d = RandomDbm(rng, num_vars, wild);
-      if (!d.Close().ok() || !d.feasible()) continue;
-      bases.push_back(std::move(d));
-    }
-    int lhs = var_dist_any(rng);
-    int rhs = var_dist_any(rng);
-    std::int64_t bound =
-        std::uniform_int_distribution<std::int64_t>(-80, 80)(rng);
-    if (wild && rng() % 3 == 0) bound = -(Dbm::kBoundLimit - 10);
-    AtomicConstraint c{lhs, rhs, bound};
-
-    ArenaScope scope(arena);
-    DbmSlab slab(&arena, num_vars, kCount);
-    for (std::int64_t t = 0; t < kCount; ++t) {
-      slab.Load(t, bases[static_cast<std::size_t>(t)]);
-    }
-    std::vector<Dbm::TightenResult> results(kCount);
-    TightenAndCloseBatch(slab, c, results.data());
-    for (std::int64_t t = 0; t < kCount; ++t) {
-      Dbm scalar = bases[static_cast<std::size_t>(t)];
-      Dbm::TightenResult want = scalar.TightenAndClose(c);
-      SCOPED_TRACE("round=" + std::to_string(round) +
-                   " t=" + std::to_string(t) + " c=" + c.ToString());
-      EXPECT_EQ(results[static_cast<std::size_t>(t)], want);
-      const Dbm& compare = want == Dbm::TightenResult::kFallbackNeeded
-                               ? bases[static_cast<std::size_t>(t)]
-                               : scalar;
-      for (int p = 0; p <= num_vars; ++p) {
-        for (int q = 0; q <= num_vars; ++q) {
-          EXPECT_EQ(slab.at(p, q, t), compare.bound_node(p, q));
-        }
-      }
-    }
-  }
-}
-
-// The self-edge degenerate forms (p == q) short-circuit for the whole
-// batch, mirroring the scalar kernel's special case.
-TEST(DbmBatchTest, SelfEdgeConstraint) {
-  Arena arena;
-  ArenaScope scope(arena);
-  DbmSlab slab(&arena, 2, 3);
-  slab.InitUnconstrained();
-  std::vector<Dbm::TightenResult> results(3);
-  TightenAndCloseBatch(slab, {1, 1, 5}, results.data());
-  for (const Dbm::TightenResult r : results) {
-    EXPECT_EQ(r, Dbm::TightenResult::kClosed);
-  }
-  TightenAndCloseBatch(slab, {1, 1, -5}, results.data());
-  for (const Dbm::TightenResult r : results) {
-    EXPECT_EQ(r, Dbm::TightenResult::kFallbackNeeded);
-  }
-}
-
 // InitUnconstrained produces exactly the unconstrained scalar matrices.
 TEST(DbmBatchTest, InitUnconstrainedMatchesScalar) {
   Arena arena;

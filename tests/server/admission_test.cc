@@ -64,7 +64,7 @@ relation Q(T: time) {
   CostClass Classify(const std::string& text) {
     Result<query::QueryPtr> q = query::ParseQuery(text);
     EXPECT_TRUE(q.ok()) << q.status();
-    return ClassifyQueryCost(db_, q.value());
+    return GradeQueryCost(db_, q.value()).cls;
   }
 
   Database db_;

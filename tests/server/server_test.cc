@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -354,6 +355,39 @@ TEST_F(ServerTest, ServerMetricsArePublished) {
   EXPECT_NE(frame.payload.find("server.queries"), std::string::npos);
   EXPECT_NE(frame.payload.find("server.command_ns"), std::string::npos);
   EXPECT_NE(frame.payload.find("server.requests"), std::string::npos);
+}
+
+// Admission, the result cache and evaluation share one PreparedQuery: each
+// evaluated statement is analyzed exactly once, cache hits and cost-aware
+// budgets included.
+TEST_F(ServerTest, EachEvaluatedStatementIsAnalyzedOnce) {
+  const obs::Counter* runs =
+      obs::MetricsRegistry::Global().GetCounter("analysis.runs");
+  auto expect_one_analysis = [&](TestClient& client,
+                                 const std::string& statement) {
+    const std::int64_t before = runs->value();
+    ResponseFrame frame = client.Request(statement);
+    EXPECT_EQ(frame.status, ResponseStatus::kOk) << frame.payload;
+    EXPECT_EQ(runs->value() - before, 1) << statement;
+  };
+  StartServer();  // Result cache on by default.
+  {
+    TestClient client(socket_path_);
+    ASSERT_TRUE(client.connected());
+    expect_one_analysis(client, "query Service(t) AND t <= 40");
+    expect_one_analysis(client, "ask EXISTS t . Window(t)");
+    expect_one_analysis(client, "profile Service(t) AND Audit(t)");
+    const std::int64_t hits = server_->result_cache().stats().hits;
+    expect_one_analysis(client, "query Service(t) AND t <= 40");
+    EXPECT_EQ(server_->result_cache().stats().hits, hits + 1);
+  }
+  server_->Stop();
+  ServerOptions options;
+  options.session.cost_aware_budgets = true;
+  StartServer(options);
+  TestClient client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  expect_one_analysis(client, "query Window(t) AND Audit(t)");
 }
 
 TEST_F(ServerTest, TcpEphemeralPortWorks) {

@@ -1,10 +1,12 @@
 #include "server/session.h"
 
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "query/prepare.h"
 #include "server/shared_database.h"
 #include "storage/database.h"
 
@@ -204,6 +206,41 @@ TEST_F(SessionTest, ExecuteMatchesShellOutputShapes) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(unknown.find("unknown command \"frobnicate\" (try: help)"),
             std::string::npos);
+}
+
+TEST_F(SessionTest, WriteBetweenPrepareAndExecuteIsSeen) {
+  Session reader(&*shared_);
+  Session writer(&*shared_);
+  Status status;
+  Run(writer, "define relation R(T: time) {\n}", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  // Prepared while R has no tuples: the root is proven bit-empty.
+  std::optional<query::PreparedQuery> prepared = reader.Prepare("query R(t)");
+  ASSERT_TRUE(prepared.has_value());
+  ASSERT_TRUE(prepared->analysis.has_value());
+  EXPECT_TRUE(prepared->analysis->root_proven_bit_empty);
+  // A second session gives R tuples before the statement executes.
+  Run(writer, "drop R", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  Run(writer, "define relation R(T: time) {\n  [5n];\n}", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  std::ostringstream out;
+  status = reader.Execute("query R(t)", out, &*prepared);
+  ASSERT_TRUE(status.ok()) << status;
+  // The stale proof is not used: the result holds the new tuple.
+  EXPECT_NE(out.str().find("5n"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("1 generalized tuple(s)"), std::string::npos)
+      << out.str();
+}
+
+TEST_F(SessionTest, PrepareCoversEvaluatingVerbsOnly) {
+  Session session(&*shared_);
+  EXPECT_TRUE(session.Prepare("ask EXISTS t . P(t)").has_value());
+  EXPECT_TRUE(session.Prepare("profile P(t)").has_value());
+  EXPECT_FALSE(session.Prepare("explain P(t)").has_value());
+  EXPECT_FALSE(session.Prepare("list").has_value());
+  // Parse errors are left to Execute, which reports them.
+  EXPECT_FALSE(session.Prepare("query P(").has_value());
 }
 
 TEST_F(SessionTest, IsQuitStatement) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +126,50 @@ TEST(ShellTest, ExplainPrintsAnalyzerFindingsInSeverityOrder) {
       << out;
   // The unbounded complement surfaces in the annotations too.
   EXPECT_NE(out.find("cert_rows=unbounded"), std::string::npos) << out;
+}
+
+// The node labels of a rendered plan (explain) or profile: each line up to
+// its two-space annotation separator, indented relative to the top plan
+// node; the profile's "query ..." root line is not a plan node.
+std::vector<std::string> PlanLabels(const std::string& block) {
+  std::vector<std::string> labels;
+  std::istringstream in(block);
+  std::string line;
+  std::size_t top = std::string::npos;
+  while (std::getline(in, line)) {
+    const std::size_t body = line.find_first_not_of(' ');
+    if (body == std::string::npos || line.compare(body, 6, "query ") == 0) {
+      continue;
+    }
+    if (top == std::string::npos) top = body;
+    labels.push_back(line.substr(top, line.find("  ", body) - top));
+  }
+  return labels;
+}
+
+TEST(ShellTest, ExplainShowsThePlanThatRuns) {
+  // Z holds no tuples, so the analyzer proves the OR branch over it
+  // bit-empty and evaluation drops the branch; explain must not show it.
+  std::string out = RunScript(std::string(kDefineP) + kDefineQ +
+                              "define relation Z(T: time) {\n}\n"
+                              "explain (P(t) AND Q(t)) OR Z(t)\n"
+                              "profile (P(t) AND Q(t)) OR Z(t)\n");
+  const std::size_t plan = out.find("plan:\n");
+  ASSERT_NE(plan, std::string::npos) << out;
+  const std::size_t profile = out.find("query (P(t) AND Q(t))  [", plan);
+  ASSERT_NE(profile, std::string::npos) << out;
+  const std::size_t footer = out.find("0 generalized tuple(s)\n", profile);
+  ASSERT_NE(footer, std::string::npos) << out;
+  const std::string explained = out.substr(plan + 6, profile - (plan + 6));
+  EXPECT_EQ(explained,
+            "AND  (est_rows=1, est_cost=4, cert_rows=1, cert_lcm=20)\n"
+            "  ATOM P(t)  (est_rows=1, est_cost=1, cert_rows=1, "
+            "cert_lcm=10)\n"
+            "  ATOM Q(t)  (est_rows=1, est_cost=1, cert_rows=1, "
+            "cert_lcm=4)\n");
+  EXPECT_EQ(PlanLabels(explained),
+            PlanLabels(out.substr(profile, footer - profile)))
+      << out;
 }
 
 TEST(ShellTest, ExplainAcceptsUppercaseAndRejectsParseErrors) {

@@ -22,6 +22,12 @@ Checks, over src/ (and where noted, tests/):
      so a copy-pasted name in another subsystem corrupts both counters.
      Read-only GetCounter(...)->value() sites are exempt; a name may also
      not be used as both a counter and a histogram.
+  7. one query front end: under src/server/ and src/query/, only the
+     prepare module (src/query/prepare.{h,cc}) may call analysis::Analyze,
+     InferSorts or PlanQuery, or construct an AbstractInterpreter (a
+     by-value use; pointers and references are fine).  Declarations and
+     definitions -- lines starting in column 0 -- are exempt.  Keeps
+     copies of the compile pipeline from growing back.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -175,6 +181,36 @@ def check_metric_names_unique(src: Path, findings: list[str]) -> None:
             )
 
 
+FRONT_END_CALL_RE = re.compile(
+    r"\b(?:analysis::)?(Analyze|InferSorts|PlanQuery)\s*\(")
+ABSINT_BY_VALUE_RE = re.compile(r"\bAbstractInterpreter\b(?!\s*[*&])")
+FRONT_END_DIRS = ("server", "query")
+FRONT_END_OWNER = "query/prepare"
+
+
+def check_single_front_end(src: Path, findings: list[str]) -> None:
+    for d in FRONT_END_DIRS:
+        for cc in sorted(list((src / d).rglob("*.cc")) +
+                         list((src / d).rglob("*.h"))):
+            if cc.relative_to(src).with_suffix("").as_posix() == \
+                    FRONT_END_OWNER:
+                continue
+            for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+                if not raw[:1].isspace():
+                    continue  # Declaration or definition, not a call.
+                line = strip_comments_and_strings(raw)
+                m = FRONT_END_CALL_RE.search(line)
+                what = f"calls {m.group(1)}" if m else None
+                if what is None and ABSINT_BY_VALUE_RE.search(line):
+                    what = "constructs an AbstractInterpreter"
+                if what is not None:
+                    findings.append(
+                        f"{cc}:{lineno}: {what} outside the prepare module "
+                        f"(go through query::Prepare / PlanPrepared): "
+                        f"{raw.strip()}"
+                    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -194,6 +230,7 @@ def main() -> int:
     check_no_cout(src, findings)
     check_diag_codes_documented(args.root, src, findings)
     check_metric_names_unique(src, findings)
+    check_single_front_end(src, findings)
 
     for finding in findings:
         print(finding)
