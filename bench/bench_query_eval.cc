@@ -1,12 +1,18 @@
 // Theorem 4.1: with the query fixed, evaluating yes/no queries is PTIME in
 // the database size (data complexity).  The bench holds three queries of
-// increasing logical depth fixed and sweeps the number of tuples.
+// increasing logical depth fixed and sweeps the number of tuples.  A pair
+// of benches pins what `ask` gains from reading only the emptiness of its
+// body (query/prepare.h, PlanGoal::kNonEmptiness).
 
+#include <cstdlib>
 #include <string>
 
 #include <benchmark/benchmark.h>
 
+#include "bench_util.h"
+#include "core/algebra.h"
 #include "query/eval.h"
+#include "query/parser.h"
 #include "storage/database.h"
 
 namespace {
@@ -77,6 +83,67 @@ void BM_Query_Universal(benchmark::State& state) {
 }
 BENCHMARK(BM_Query_Universal)->RangeMultiplier(2)->Range(4, 128)->Complexity();
 
+// Jobs of period 7 and readiness marks of period 9 (coprime): projecting
+// a quantifier out of their join normalizes every tuple to lcm 63, while
+// the join itself stays small.
+Database MakeMixedPeriodDb() {
+  std::string text = "relation Task(From: time, To: time, Job: int) {\n";
+  for (int i = 0; i < 6; ++i) {
+    text += "  [" + std::to_string(i % 7) + "+7n, " +
+            std::to_string(i % 7 + 3) + "+7n | " + std::to_string(i % 4) +
+            "] : From <= To - 3;\n";
+  }
+  text += "}\nrelation Ready(T: time, Job: int) {\n";
+  for (int i = 0; i < 4; ++i) {
+    text += "  [" + std::to_string(i % 9) + "+9n | " + std::to_string(i % 4) +
+            "];\n";
+  }
+  text += "}\n";
+  itdb::Result<Database> db = Database::FromText(text);
+  if (!db.ok()) std::abort();
+  return std::move(db).value();
+}
+
+constexpr const char* kExistentialJoin =
+    "EXISTS f . EXISTS g . EXISTS j . EXISTS t . "
+    "Task(f, g, j) AND Ready(t, j) AND t <= f AND f >= 1000";
+
+// `ask` of the existential join: the body is evaluated without its
+// quantifiers and IsEmpty stops at its first nonempty tuple.
+void BM_Ask_ExistentialJoin(benchmark::State& state) {
+  Database db = MakeMixedPeriodDb();
+  itdb::Result<itdb::query::QueryPtr> q =
+      itdb::query::ParseQuery(kExistentialJoin);
+  for (auto _ : state) {
+    auto r = itdb::query::EvalBooleanQuery(db, q.value());
+    if (!r.ok() || !r.value()) {
+      state.SkipWithError("ask did not answer true");
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_Ask_ExistentialJoin);
+
+// The same sentence through `query` and IsEmpty: every quantifier is
+// projected out before the emptiness test reads the result.
+void BM_Query_ExistentialJoin_IsEmpty(benchmark::State& state) {
+  Database db = MakeMixedPeriodDb();
+  itdb::Result<itdb::query::QueryPtr> q =
+      itdb::query::ParseQuery(kExistentialJoin);
+  for (auto _ : state) {
+    auto rel = itdb::query::EvalQuery(db, q.value());
+    auto empty = rel.ok() ? itdb::IsEmpty(rel.value(), {})
+                          : itdb::Result<bool>(rel.status());
+    if (!empty.ok() || empty.value()) {
+      state.SkipWithError("query + IsEmpty did not find a tuple");
+      break;
+    }
+    benchmark::DoNotOptimize(empty);
+  }
+}
+BENCHMARK(BM_Query_ExistentialJoin_IsEmpty);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+ITDB_BENCHMARK_MAIN();

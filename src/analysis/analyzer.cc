@@ -1,6 +1,7 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -343,10 +344,13 @@ CostGrade GradeCost(const AnalysisResult& result,
   return grade;
 }
 
-QueryPtr ApplySoundRewrites(const QueryPtr& q, const AnalysisResult& analysis,
-                            int* removed) {
+QueryPtr ApplySoundRewrites(
+    const QueryPtr& q, const AnalysisResult& analysis, int* removed,
+    const std::function<QueryPtr(const QueryPtr&)>& lower) {
   int count = 0;
-  QueryPtr out = EliminateDeadBranches(q, analysis.proven_bit_empty, &count);
+  QueryPtr out = MarkDeadBranches(q, analysis.proven_bit_empty, &count);
+  if (lower) out = lower(out);
+  if (count > 0) out = DropDeadBranchMarkers(out);
   if (removed != nullptr) *removed = count;
   if (count > 0) obs::AddGlobalCounter("analysis.dead_branches", count);
   return out;

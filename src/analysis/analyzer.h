@@ -39,6 +39,7 @@
 #define ITDB_ANALYSIS_ANALYZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -131,11 +132,17 @@ CostGrade GradeCost(const AnalysisResult& result,
 /// branch's is dropped (union with zero tuples is the identity on the
 /// representation, so the result is bit-identical).  Returns `q` itself
 /// when nothing applies; `removed`, if non-null, receives the number of
-/// branches dropped.  Feed the result to query::Optimize, exactly where
-/// the optimizer pipeline would otherwise start.
-query::QueryPtr ApplySoundRewrites(const query::QueryPtr& q,
-                                   const AnalysisResult& analysis,
-                                   int* removed = nullptr);
+/// branches dropped.
+///
+/// `lower` (e.g. query::Optimize) is applied to the tree with each dead
+/// branch still in place as a marker, and the branches are dropped from
+/// its result (rewrite.h): the result equals lower(q) minus the dead
+/// branches, so dropping one cannot change how `lower` treats the rest.
+/// Without `lower` the dropped tree is returned as is.
+query::QueryPtr ApplySoundRewrites(
+    const query::QueryPtr& q, const AnalysisResult& analysis,
+    int* removed = nullptr,
+    const std::function<query::QueryPtr(const query::QueryPtr&)>& lower = {});
 
 }  // namespace analysis
 }  // namespace itdb

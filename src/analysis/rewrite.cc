@@ -11,6 +11,27 @@ namespace {
 
 using query::Query;
 using query::QueryPtr;
+using query::Term;
+
+/// The relation name of a marker: no parsed query can name it.
+constexpr char kDeadBranchMarker[] = "#dead";
+
+QueryPtr Marker(const Query& branch) {
+  std::vector<Term> args;
+  for (const std::string& v : branch.FreeVariables()) {
+    args.push_back(Term::Variable(v));
+  }
+  return Query::Atom(kDeadBranchMarker, std::move(args));
+}
+
+bool IsMarker(const Query& q) {
+  return q.kind() == Query::Kind::kAtom && q.relation() == kDeadBranchMarker;
+}
+
+QueryPtr Rebuild(QueryPtr node, const QueryPtr& original) {
+  Query::SetSpans(node, original->span());
+  return node;
+}
 
 /// free(a) subset-of free(b); FreeVariables() returns sorted vectors.
 bool FreeVarsSubset(const Query& a, const Query& b) {
@@ -21,7 +42,7 @@ bool FreeVarsSubset(const Query& a, const Query& b) {
 
 struct Rewriter {
   const std::set<const Query*>& empty;
-  int removed = 0;
+  int marked = 0;
 
   /// `negated` mirrors the pending-negation flag of the optimizer's
   /// PushNegations: it flips at NOT, is inherited by AND / OR / FORALL
@@ -48,13 +69,15 @@ struct Rewriter {
         // union -- bit-identical (see rewrite.h).
         if (!negated && empty.contains(q->left().get()) &&
             FreeVarsSubset(*q->left(), *q->right())) {
-          ++removed;
-          return Rewrite(q->right(), negated);
+          ++marked;
+          return Rebuild(
+              Query::Or(Marker(*q->left()), Rewrite(q->right(), negated)), q);
         }
         if (!negated && empty.contains(q->right().get()) &&
             FreeVarsSubset(*q->right(), *q->left())) {
-          ++removed;
-          return Rewrite(q->left(), negated);
+          ++marked;
+          return Rebuild(
+              Query::Or(Rewrite(q->left(), negated), Marker(*q->right())), q);
         }
         QueryPtr left = Rewrite(q->left(), negated);
         QueryPtr right = Rewrite(q->right(), negated);
@@ -79,22 +102,54 @@ struct Rewriter {
     }
     return q;
   }
-
-  static QueryPtr Rebuild(QueryPtr node, const QueryPtr& original) {
-    Query::SetSpans(node, original->span());
-    return node;
-  }
 };
 
 }  // namespace
 
-QueryPtr EliminateDeadBranches(const QueryPtr& q,
-                               const std::set<const Query*>& empty,
-                               int* removed) {
+QueryPtr MarkDeadBranches(const QueryPtr& q,
+                          const std::set<const Query*>& empty, int* marked) {
   Rewriter rewriter{empty};
   QueryPtr out = rewriter.Rewrite(q, /*negated=*/false);
-  if (removed != nullptr) *removed = rewriter.removed;
+  if (marked != nullptr) *marked = rewriter.marked;
   return out;
+}
+
+QueryPtr DropDeadBranchMarkers(const QueryPtr& q) {
+  switch (q->kind()) {
+    case Query::Kind::kAtom:
+    case Query::Kind::kCmp:
+      return q;
+    case Query::Kind::kAnd:
+    case Query::Kind::kOr: {
+      const bool is_or = q->kind() == Query::Kind::kOr;
+      if (is_or && IsMarker(*q->left())) {
+        return DropDeadBranchMarkers(q->right());
+      }
+      if (is_or && IsMarker(*q->right())) {
+        return DropDeadBranchMarkers(q->left());
+      }
+      QueryPtr left = DropDeadBranchMarkers(q->left());
+      QueryPtr right = DropDeadBranchMarkers(q->right());
+      if (left == q->left() && right == q->right()) return q;
+      return Rebuild(is_or ? Query::Or(std::move(left), std::move(right))
+                           : Query::And(std::move(left), std::move(right)),
+                     q);
+    }
+    case Query::Kind::kNot:
+    case Query::Kind::kExists:
+    case Query::Kind::kForall: {
+      QueryPtr body = DropDeadBranchMarkers(q->left());
+      if (body == q->left()) return q;
+      if (q->kind() == Query::Kind::kNot) {
+        return Rebuild(Query::Not(std::move(body)), q);
+      }
+      return Rebuild(q->kind() == Query::Kind::kExists
+                         ? Query::Exists(q->quantified_var(), std::move(body))
+                         : Query::Forall(q->quantified_var(), std::move(body)),
+                     q);
+    }
+  }
+  return q;
 }
 
 }  // namespace analysis

@@ -13,6 +13,18 @@
 // can yield infeasible-but-present tuples, and dropping them would be
 // visible in the union's representation.
 //
+// Elimination runs in two steps around the optimizer.  MarkDeadBranches
+// replaces each dead branch by a marker atom over the branch's free
+// variables; DropDeadBranchMarkers removes the marked OR arms afterwards.
+// Dropping a branch before query::Optimize would change what the optimizer
+// sees: EXISTS v . (X OR dead) keeps v above the OR, while EXISTS v . X
+// lets miniscoping push v into X's conjunction, and projecting before the
+// join is a different representation than projecting after it.  The
+// optimizer decides on free variables and node kinds only, so an OR arm
+// with the dead branch's free variables steers it exactly as the branch
+// did.  Because free(b) is a subset of free(a), no quantifier is ever
+// pushed into the marker alone: it stays a direct OR arm.
+//
 // Proven-empty nodes that are not OR branches are left alone -- replacing
 // e.g. an AND with a literal "empty" node could skip evaluation work but
 // would need a canonical-empty constructor in the AST; the evaluator's
@@ -28,12 +40,18 @@
 namespace itdb {
 namespace analysis {
 
-/// Drops provably-dead OR branches of `q` (per `empty`, which must point
-/// into `q`'s tree).  Returns `q` itself when nothing applies; shares
-/// untouched subtrees otherwise.  `removed` counts dropped branches.
-query::QueryPtr EliminateDeadBranches(const query::QueryPtr& q,
-                                      const std::set<const query::Query*>& empty,
-                                      int* removed);
+/// Replaces the provably-dead OR branches of `q` (per `empty`, which must
+/// point into `q`'s tree) by markers.  Returns `q` itself when nothing
+/// applies; shares untouched subtrees otherwise.  `marked` counts the
+/// replaced branches.
+query::QueryPtr MarkDeadBranches(const query::QueryPtr& q,
+                                 const std::set<const query::Query*>& empty,
+                                 int* marked);
+
+/// Removes every OR arm of `q` that is a marker.  Returns `q` itself when
+/// it has none.  A marker anywhere else stays, and sort inference rejects
+/// it as an unknown relation.
+query::QueryPtr DropDeadBranchMarkers(const query::QueryPtr& q);
 
 }  // namespace analysis
 }  // namespace itdb

@@ -289,6 +289,36 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
       }
     }
   }
+  // --- Oracle 4: ask of the existential closure vs the baseline. ---
+  // Budget failures on either side are skips (the ask plan can finish
+  // where the baseline's projections run out of budget, and vice versa).
+  if (baseline.ok()) {
+    QueryPtr closure = q;
+    for (const std::string& v : q->FreeVariables()) {
+      closure = Query::Exists(v, std::move(closure));
+    }
+    Result<bool> nonempty = query::EvalBooleanQuery(
+        db, closure,
+        MakeOptions(/*analyze=*/true, /*parallel=*/false,
+                    /*cost_plan=*/true, options.threads));
+    Result<bool> empty = IsEmpty(*baseline, AlgebraOptions{});
+    if (!nonempty.ok() && !IsBudgetFailure(nonempty.status())) {
+      outcome.failure = "ask of the existential closure failed: " +
+                        nonempty.status().ToString();
+      return outcome;
+    }
+    if (nonempty.ok() && empty.ok()) {
+      ++outcome.asks_checked;
+      if (*nonempty == *empty) {
+        std::ostringstream os;
+        os << "ask of the existential closure answered "
+           << (*nonempty ? "true" : "false") << " but the baseline is "
+           << (*empty ? "empty" : "nonempty");
+        outcome.failure = os.str();
+        return outcome;
+      }
+    }
+  }
   return outcome;
 }
 
@@ -330,7 +360,8 @@ std::string QueryFuzzReport::Summary() const {
   os << "query fuzz: " << cases << " case(s), " << skipped << " skipped, "
      << variants_checked << " variant check(s), " << empties_checked
      << " emptiness check(s) (" << empties_skipped << " skipped), "
-     << certificates_checked << " certificate check(s), " << failures.size()
+     << certificates_checked << " certificate check(s), " << asks_checked
+     << " ask check(s), " << failures.size()
      << " failure(s)";
   return os.str();
 }
@@ -352,6 +383,7 @@ QueryFuzzReport RunQueryFuzz(const QueryFuzzConfig& config) {
     report.empties_checked += outcome.empties_checked;
     report.empties_skipped += outcome.empties_skipped;
     report.certificates_checked += outcome.certificates_checked;
+    report.asks_checked += outcome.asks_checked;
     if (outcome.failure.has_value()) {
       QueryFuzzFailure f;
       f.case_seed = case_seed;

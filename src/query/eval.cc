@@ -731,20 +731,19 @@ GeneralizedRelation EmptyRelationFor(const Query& q, const SortMap& sorts) {
       Schema(std::move(temporal), std::move(data_names), std::move(data_types)));
 }
 
-}  // namespace
-
-Result<GeneralizedRelation> EvalPrepared(const Database& db,
-                                         const PreparedQuery& prepared,
-                                         const QueryOptions& options,
-                                         obs::Profile* profile) {
+/// EvalPrepared, planned for `goal`.
+Result<GeneralizedRelation> EvalForGoal(const Database& db,
+                                        const PreparedQuery& prepared,
+                                        const QueryOptions& options,
+                                        obs::Profile* profile, PlanGoal goal) {
   if (prepared.db_version != db.version() ||
       (options.analyze && !prepared.analysis.has_value())) {
     // Stale (a write landed since Prepare) or prepared without analysis.
-    return EvalPrepared(db, Prepare(db, prepared.query, options), options,
-                        profile);
+    return EvalForGoal(db, Prepare(db, prepared.query, options), options,
+                       profile, goal);
   }
   ITDB_ASSIGN_OR_RETURN(ExecutionPlan plan,
-                        PlanPrepared(db, prepared, options));
+                        PlanPrepared(db, prepared, options, goal));
   if (plan.tree == nullptr) {
     return EmptyRelationFor(*prepared.query, plan.sorts);
   }
@@ -801,6 +800,15 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db,
   return result;
 }
 
+}  // namespace
+
+Result<GeneralizedRelation> EvalPrepared(const Database& db,
+                                         const PreparedQuery& prepared,
+                                         const QueryOptions& options,
+                                         obs::Profile* profile) {
+  return EvalForGoal(db, prepared, options, profile, PlanGoal::kRelation);
+}
+
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
                                       const QueryOptions& options) {
   return EvalPrepared(db, Prepare(db, q, options), options);
@@ -854,8 +862,12 @@ Result<bool> EvalBooleanPrepared(const Database& db,
     return Status::InvalidArgument(
         "yes/no query has free variables:" + vars);
   }
+  // Only the emptiness of the body is read: plan without the witness
+  // quantifiers, whose projections would normalize every tuple IsEmpty
+  // never looks at (it stops at the first nonempty one).
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel,
-                        EvalPrepared(db, prepared, options));
+                        EvalForGoal(db, prepared, options, nullptr,
+                                    PlanGoal::kNonEmptiness));
   ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, options.algebra));
   return !empty;
 }

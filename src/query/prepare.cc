@@ -1,5 +1,6 @@
 #include "query/prepare.h"
 
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -29,6 +30,56 @@ Status AnalysisFailure(const analysis::AnalysisResult& analysis) {
   return Status::InvalidArgument(message);
 }
 
+void CountBinders(const Query& q, std::map<std::string, int>* binders) {
+  switch (q.kind()) {
+    case Query::Kind::kAtom:
+    case Query::Kind::kCmp:
+      return;
+    case Query::Kind::kAnd:
+    case Query::Kind::kOr:
+      CountBinders(*q.right(), binders);
+      break;
+    case Query::Kind::kExists:
+    case Query::Kind::kForall:
+      ++(*binders)[q.quantified_var()];
+      break;
+    case Query::Kind::kNot:
+      break;
+  }
+  CountBinders(*q.left(), binders);
+}
+
+/// The kNonEmptiness body (PlanGoal): drops each EXISTS reachable through
+/// AND / EXISTS whose variable `binders` counts once.
+QueryPtr DropWitnessQuantifiers(const QueryPtr& q,
+                                const std::map<std::string, int>& binders) {
+  switch (q->kind()) {
+    case Query::Kind::kAnd: {
+      QueryPtr left = DropWitnessQuantifiers(q->left(), binders);
+      QueryPtr right = DropWitnessQuantifiers(q->right(), binders);
+      if (left == q->left() && right == q->right()) return q;
+      return Query::And(std::move(left), std::move(right));
+    }
+    case Query::Kind::kExists: {
+      QueryPtr body = DropWitnessQuantifiers(q->left(), binders);
+      if (binders.at(q->quantified_var()) == 1) return body;
+      if (body == q->left()) return q;
+      return Query::Exists(q->quantified_var(), std::move(body));
+    }
+    default:
+      return q;
+  }
+}
+
+QueryPtr DropWitnessQuantifiers(const QueryPtr& q) {
+  std::map<std::string, int> binders;
+  CountBinders(*q, &binders);
+  // A variable free in the root occurs outside every binder's scope: one
+  // more count keeps its binders.
+  for (const std::string& v : q->FreeVariables()) ++binders[v];
+  return DropWitnessQuantifiers(q, binders);
+}
+
 }  // namespace
 
 PreparedQuery Prepare(const Database& db, const QueryPtr& q,
@@ -55,11 +106,20 @@ PreparedQuery Prepare(const Database& db, const QueryPtr& q,
 
 Result<ExecutionPlan> PlanPrepared(const Database& db,
                                    const PreparedQuery& prepared,
-                                   const QueryOptions& options) {
+                                   const QueryOptions& options,
+                                   PlanGoal goal) {
   ExecutionPlan plan;
+  // The goal's body, optimized (the written tree's optimization is
+  // already in `prepared`).
+  auto lower = [&](const QueryPtr& tree) {
+    QueryPtr body = goal == PlanGoal::kNonEmptiness
+                        ? DropWitnessQuantifiers(tree)
+                        : tree;
+    if (!options.optimize) return body;
+    return body == prepared.query ? prepared.optimized : Optimize(body);
+  };
   // Static analysis: abort on error-severity findings, serve a proven-empty
   // root without a plan, drop provably dead OR branches.
-  QueryPtr base = prepared.query;
   if (options.analyze && prepared.analysis.has_value()) {
     const analysis::AnalysisResult& ar = *prepared.analysis;
     if (ar.HasErrors()) return AnalysisFailure(ar);
@@ -70,12 +130,10 @@ Result<ExecutionPlan> PlanPrepared(const Database& db,
       plan.sorts = ar.sorts;
       return plan;
     }
-    base = analysis::ApplySoundRewrites(prepared.query, ar);
-  }
-  // ApplySoundRewrites returns its input when nothing applies.
-  plan.tree = base;
-  if (options.optimize) {
-    plan.tree = base == prepared.query ? prepared.optimized : Optimize(base);
+    plan.tree =
+        analysis::ApplySoundRewrites(prepared.query, ar, nullptr, lower);
+  } else {
+    plan.tree = lower(prepared.query);
   }
   ITDB_ASSIGN_OR_RETURN(plan.sorts, InferSorts(db, plan.tree));
   // Cost-based physical planning: reorder AND-chains on the statistics.

@@ -10,7 +10,8 @@
 //                 keys on).  A result-cache hit stops here.
 //   PlanPrepared  sound rewrites, sort inference, the planner's abstract
 //                 interpretation and PlanQuery: the tree evaluation runs,
-//                 which is the tree `explain` prints.
+//                 which is the tree `explain` prints.  A yes/no query is
+//                 planned for the emptiness of its body (PlanGoal).
 //
 // Emptiness proofs and certificates describe the data at `db_version`; a
 // PreparedQuery that is no longer current is prepared again before anything
@@ -56,13 +57,28 @@ struct ExecutionPlan {
   analysis::CertificateMap certificates;  // Empty unless certified_bounds.
 };
 
+/// What the caller reads of the evaluated tree.
+enum class PlanGoal {
+  /// The result relation, bit-identical with analysis on or off.
+  kRelation,
+  /// Only whether it is empty (`ask`).  Every EXISTS reachable from the
+  /// root through AND / EXISTS nodes whose variable is bound nowhere else
+  /// and is not free in the root is dropped before the optimizer runs.
+  /// Projection is exact on normal-form tuples (Theorem 3.1), so the body
+  /// is nonempty iff the query is, and the binding rule means a dropped
+  /// quantifier can neither capture nor merge variables.  EXISTS under
+  /// OR / NOT / FORALL stays, and so does a FORALL root.
+  kNonEmptiness,
+};
+
 /// Plans `prepared` as evaluation under `options` runs it (`prepared`
 /// must be current and analyzed if options.analyze).  With
 /// options.analyze, error findings fail the call (NotFound for an unknown
 /// relation) and a bit-empty root yields a null tree.  Sort conflicts fail.
 Result<ExecutionPlan> PlanPrepared(const Database& db,
                                    const PreparedQuery& prepared,
-                                   const QueryOptions& options);
+                                   const QueryOptions& options,
+                                   PlanGoal goal = PlanGoal::kRelation);
 
 }  // namespace query
 }  // namespace itdb

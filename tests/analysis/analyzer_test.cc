@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "query/eval.h"
+#include "query/optimize.h"
 #include "query/parser.h"
 #include "storage/database.h"
 #include "util/diagnostic.h"
@@ -228,6 +229,25 @@ TEST(RewriteTest, FreeVariableSupersetBlocksElimination) {
   int removed = 0;
   QueryPtr rewritten = ApplySoundRewrites(q, r, &removed);
   EXPECT_EQ(removed, 0);
+}
+
+TEST(RewriteTest, DeadBranchDoesNotSteerTheOptimizer) {
+  Database db = SmallDb();
+  // u is free in both OR arms, so the optimizer keeps EXISTS u above the
+  // OR.  Dropping the dead arm first would expose the conjunction and let
+  // miniscoping push EXISTS u into it: projecting before the join instead
+  // of after it, a different representation.
+  QueryPtr q = Parse(
+      "EXISTS u . ((Q(t) AND Less(u, t)) OR (Q(t) AND Less(u, t) AND 3 < 2))");
+  AnalysisResult r = Analyze(db, q);
+  ASSERT_FALSE(r.HasErrors());
+  int removed = 0;
+  QueryPtr lowered = ApplySoundRewrites(q, r, &removed, query::Optimize);
+  EXPECT_EQ(removed, 1);
+  EXPECT_EQ(lowered->ToString(), "EXISTS u . ((Q(t) AND Less(u, t)))");
+  // Without the marker the optimizer would have miniscoped.
+  EXPECT_EQ(query::Optimize(ApplySoundRewrites(q, r))->ToString(),
+            "(Q(t) AND EXISTS u . (Less(u, t)))");
 }
 
 bool SameRepresentation(const GeneralizedRelation& a,

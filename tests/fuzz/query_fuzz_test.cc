@@ -95,6 +95,69 @@ TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
   // Most generated queries earn at least a partial certificate, so the
   // soundness oracle must run on a large fraction of the cases.
   EXPECT_GT(report.certificates_checked, 100) << report.Summary();
+  // Every case with a successful baseline also checks its yes/no answer.
+  EXPECT_GT(report.asks_checked, 100) << report.Summary();
+}
+
+// Shrunk failures of `itdb_fuzz --cases 0 --seed 11 --threads 3
+// --query-cases 2000` (case seeds 18128189449026936861,
+// 6324516530963949483, 1504705473609475332).  Each is a quantifier over
+// X OR (X AND dead): dropping the dead branch before the optimizer let its
+// miniscoping push the quantifier into X's conjunction, so analysis on
+// projected before the join where analysis off projected after it.
+TEST(QueryOracleTest, DeadBranchUnderQuantifierKeepsTheRepresentation) {
+  struct Case {
+    const char* database;
+    const char* query;
+  };
+  const Case cases[] = {
+      {R"(relation R0(A: time, B: time) {
+            [1+2n, 1+2n] : B >= -2 && A <= B;
+            [-1, 3+4n];
+          }
+          relation R1(A: time, B: time) {
+            [1+2n, 0+2n];
+            [0+4n, 1+4n];
+            [2+3n, 1+4n];
+          })",
+       "EXISTS t0 . (((((((R0(5, t0) AND R1(t1, t1)) AND R1(t1, t2)) AND "
+       "t1 + 2 <= t2) AND t1 != 3) AND (3 < 2 AND 0 = 0)) OR ((((R0(5, t0) "
+       "AND R1(t1, t1)) AND R1(t1, t2)) AND t1 + 2 <= t2) AND t1 != 3)))"},
+      {R"(relation S1(B: time, C: time) {
+            [0+2n, 0+3n] : C >= 1;
+            [1+3n, 4+6n] : C <= B + 5;
+          }
+          relation U1(T: time) {
+            [3+4n];
+          })",
+       "EXISTS t1 . (((((((S1(t0, t1 - 2) AND S1(t2, 3)) AND U1(-5)) AND "
+       "t0 != 1) AND t2 != 0) AND NOT ((t2 > -1 AND t2 < -1))) OR "
+       "((((((S1(t0, t1 - 2) AND S1(t2, 3)) AND U1(-5)) AND t0 != 1) AND "
+       "t2 != 0) AND NOT ((t2 > -1 AND t2 < -1))) AND (3 < 2 AND 0 = 0))))"},
+      {R"(relation R1(A: time, B: time) {
+            [0+4n, 4+6n] : A <= B + 2;
+            [2+3n, 0+2n];
+          }
+          relation U0(T: time) {
+            [2+3n];
+            [1+4n];
+            [2+4n] : T >= -4;
+          })",
+       "EXISTS t2 . (((((R1(t0, t1) AND U0(t2)) AND t2 <= t0) AND "
+       "t0 + 2 <= -3) OR ((((R1(t0, t1) AND U0(t2)) AND t2 <= t0) AND "
+       "t0 + 2 <= -3) AND (3 < 2 AND 0 = 0))))"},
+  };
+  for (const Case& c : cases) {
+    Result<Database> db = Database::FromText(c.database);
+    ASSERT_TRUE(db.ok()) << db.status();
+    Result<QueryPtr> q = query::ParseQuery(c.query);
+    ASSERT_TRUE(q.ok()) << q.status();
+    QueryCaseOutcome outcome = CheckQueryCase(db.value(), q.value());
+    EXPECT_FALSE(outcome.skipped) << c.query;
+    EXPECT_FALSE(outcome.failure.has_value())
+        << c.query << ": " << *outcome.failure;
+    EXPECT_EQ(outcome.variants_checked, 6) << c.query;
+  }
 }
 
 // Certificate soundness as a property over the checked-in corpus: every

@@ -58,7 +58,12 @@ int CountNodes(const obs::ProfileNode& node) {
 
 TEST(ProfileTest, JoinHeavyQueryReportsPerNodeMetrics) {
   Database db = JoinHeavyDb();
-  Result<ProfiledResult> profiled = EvalQueryStringProfiled(db, kJoinQuery);
+  // One thread: every span's CPU time is then all of the work it covers.
+  QueryOptions options;
+  options.algebra.threads = 1;
+  options.algebra.normalize.threads = 1;
+  Result<ProfiledResult> profiled =
+      EvalQueryStringProfiled(db, kJoinQuery, options);
   ASSERT_TRUE(profiled.ok()) << profiled.status();
   const obs::Profile& profile = profiled->profile;
   ASSERT_FALSE(profile.empty());
@@ -85,16 +90,19 @@ TEST(ProfileTest, JoinHeavyQueryReportsPerNodeMetrics) {
   EXPECT_GT(SumMetric(profile.root, "cache_misses"), 0);
 
   // Inclusive times: every node covers its children, and the top plan node
-  // accounts for (almost) all of the root's wall time -- the work between
-  // the two spans is a label + two counter snapshots.
-  std::int64_t child_sum = 0;
+  // accounts for (almost) all of the root's CPU time -- the work between
+  // the two spans is a label + two counter snapshots.  CPU, not wall time:
+  // a busy host stretches the wall-clock gap between the spans, not the
+  // work done in it.
+  std::int64_t child_cpu = 0;
   for (const obs::ProfileNode& child : profile.root.children) {
     EXPECT_LE(child.wall_ns, profile.root.wall_ns);
-    child_sum += child.wall_ns;
+    EXPECT_LE(child.cpu_ns, profile.root.cpu_ns);
+    child_cpu += child.cpu_ns;
   }
-  EXPECT_LE(child_sum, profile.root.wall_ns);
-  EXPECT_GE(child_sum, profile.root.wall_ns -
-                           std::max<std::int64_t>(profile.root.wall_ns / 10,
+  EXPECT_LE(child_cpu, profile.root.cpu_ns);
+  EXPECT_GE(child_cpu, profile.root.cpu_ns -
+                           std::max<std::int64_t>(profile.root.cpu_ns / 10,
                                                   2000000));
 
   // The rendered profile carries the headline fields.
