@@ -1,5 +1,6 @@
 // Flat tuple storage: the batched-slab normalization sweep and the batched
-// incremental-closure kernel against their per-tuple (legacy) counterparts.
+// incremental-closure kernel against their per-tuple (legacy) counterparts,
+// and the two MinimalAtomics kernels on join-shaped systems.
 //
 // Normalization dominates the Appendix-A workloads; its inner loop closes
 // one DBM per candidate combination.  The batched sweep lays all candidate
@@ -155,6 +156,59 @@ void BM_Conjoin_Chunked_Batch(benchmark::State& state) {
   state.counters["systems"] = benchmark::Counter(static_cast<double>(count));
 }
 BENCHMARK(BM_Conjoin_Chunked_Batch)->Arg(256)->Arg(1024);
+
+/// Closed 4-variable systems shaped like temporal-join output: an interval
+/// column pair tied by an equality (From = To - d), a joined instant
+/// bounded below and ordered against it (T >= a, T <= From), a bound on
+/// From, and a fourth column offset from T.
+std::vector<Dbm> MakeJoinShapedSystems(std::int64_t count) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_int_distribution<std::int64_t> small(1, 6);
+  std::uniform_int_distribution<std::int64_t> large(0, 500);
+  std::vector<Dbm> systems;
+  systems.reserve(static_cast<std::size_t>(count));
+  while (static_cast<std::int64_t>(systems.size()) < count) {
+    Dbm d(4);
+    d.AddDifferenceEquality(0, 1, -small(rng));  // From = To - d.
+    d.AddLowerBound(2, large(rng));              // T >= a.
+    d.AddDifferenceUpperBound(2, 0, 0);          // T <= From.
+    d.AddLowerBound(0, large(rng));              // From >= c.
+    d.AddDifferenceUpperBound(3, 2, small(rng));  // U <= T + e.
+    d.AddDifferenceUpperBound(2, 3, 0);           // T <= U.
+    if (!d.Close().ok() || !d.feasible()) continue;
+    systems.push_back(std::move(d));
+  }
+  return systems;
+}
+
+void RunMinimalAtomics(benchmark::State& state, bool reference) {
+  const std::vector<Dbm> systems = MakeJoinShapedSystems(256);
+  std::int64_t kept = 0;
+  for (auto _ : state) {
+    kept = 0;
+    for (const Dbm& d : systems) {
+      std::vector<AtomicConstraint> atoms =
+          reference ? d.MinimalAtomicsReference() : d.MinimalAtomics();
+      kept += static_cast<std::int64_t>(atoms.size());
+      benchmark::DoNotOptimize(atoms);
+    }
+  }
+  state.counters["systems"] =
+      benchmark::Counter(static_cast<double>(systems.size()));
+  state.counters["atomics_kept"] = benchmark::Counter(static_cast<double>(kept));
+}
+
+void BM_Dbm_MinimalAtomics(benchmark::State& state) {
+  // The tight-path search: one reachability pass per candidate atomic.
+  RunMinimalAtomics(state, /*reference=*/false);
+}
+BENCHMARK(BM_Dbm_MinimalAtomics);
+
+void BM_Dbm_MinimalAtomics_Reference(benchmark::State& state) {
+  // The paper's reference kernel: one trial closure per candidate atomic.
+  RunMinimalAtomics(state, /*reference=*/true);
+}
+BENCHMARK(BM_Dbm_MinimalAtomics_Reference);
 
 }  // namespace
 

@@ -85,11 +85,12 @@ Result<std::optional<GeneralizedTuple>> PruneByRelaxation(GeneralizedTuple t) {
 
 /// t1 - t2 for tuples of identical schema (Section 3.3.3 and Figure 1):
 ///   t1 - t2 = (t1 - t2*) U (not(t2) ^ t1).
-/// `c2` is t2's constraints, closed by the caller (Subtract hoists the
-/// closure out of the per-t1 loop: it is the same matrix for every t1 of a
-/// round).
+/// `c2` is t2's constraints, closed by the caller, and `c2_atoms` its
+/// minimal atomics when feasible (Subtract hoists both out of the per-t1
+/// loop: they are the same for every t1 of a round).
 Result<std::vector<GeneralizedTuple>> SubtractTuples(
-    const GeneralizedTuple& t1, const GeneralizedTuple& t2, const Dbm& c2) {
+    const GeneralizedTuple& t1, const GeneralizedTuple& t2, const Dbm& c2,
+    const std::vector<AtomicConstraint>& c2_atoms) {
   std::vector<GeneralizedTuple> out;
   if (t1.data() != t2.data()) {
     out.push_back(t1);
@@ -153,7 +154,7 @@ Result<std::vector<GeneralizedTuple>> SubtractTuples(
   // Part 2: r4 = not(t2) ^ t1: points on t3* that satisfy t1's constraints
   // but violate at least one of t2's.  One tuple per negated atomic
   // constraint (the paper's disjunction splitting).
-  for (const AtomicConstraint& a : c2.MinimalAtomics()) {
+  for (const AtomicConstraint& a : c2_atoms) {
     GeneralizedTuple t(inter, t1.data());
     Dbm c = t1.constraints();
     c.AddAtomic(a.Negated());
@@ -457,10 +458,12 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
     }
     BumpCounter(&KernelCounters::pairs_candidate, options,
                 static_cast<std::int64_t>(current.size()));
-    // The closure of t2's constraints is the same matrix for every t1:
-    // hoist it out of the per-residue loop.
+    // The closure of t2's constraints and its minimal atomics are the same
+    // for every t1: hoist them out of the per-residue loop.
     Dbm c2 = t2.constraints();
     ITDB_RETURN_IF_ERROR(c2.Close());
+    const std::vector<AtomicConstraint> c2_atoms =
+        c2.feasible() ? c2.MinimalAtomics() : std::vector<AtomicConstraint>{};
     // One round subtracts t2 from every residue independently; the round's
     // outputs merge in residue order.  The budget is checked on the merged
     // round: round sizes only grow as residues accumulate, so this trips
@@ -489,7 +492,7 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
                 }
               }
               ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> parts,
-                                    SubtractTuples(t1, t2, c2));
+                                    SubtractTuples(t1, t2, c2, c2_atoms));
               out_parts.push_back(std::move(parts));
               return Status::Ok();
             }));

@@ -373,6 +373,75 @@ std::vector<AtomicConstraint> Dbm::ToAtomics() const {
 
 std::vector<AtomicConstraint> Dbm::MinimalAtomics() const {
   assert(closed_ && feasible_);
+  // The reference's greedy, with each trial closure replaced by a search
+  // (DESIGN.md §3.5).  Closure gives the triangle inequality, so every path
+  // from p to q over kept atomics weighs at least bound(p, q): the other
+  // kept atomics entail (p, q) exactly when one such path, avoiding the edge
+  // (p, q) itself, weighs bound(p, q).  Every edge (u, v) on such a path is
+  // tight from p -- bound(p, u) + bound(u, v) == bound(p, v) -- and any
+  // path of tight edges weighs bound(p, q), so the test is reachability of
+  // q from p over tight kept edges.  Close() returned ok, so every finite
+  // bound is within kBoundLimit and the search's sums cannot leave int64.
+  const std::size_t n = static_cast<std::size_t>(num_vars_) + 1;
+  const std::int64_t* d = matrix_.data();
+  // kept[p * n + q]: (p, q) is a finite off-diagonal atomic not yet dropped.
+  SmallVec<std::uint8_t, kMaxInlineNodes * kMaxInlineNodes> kept;
+  kept.assign(n * n, 0);
+  std::size_t count = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      const std::int64_t b = d[p * n + q];
+      if (p == q || b == kInf) continue;
+      kept[p * n + q] = 1;
+      ++count;
+    }
+  }
+  SmallVec<std::uint8_t, kMaxInlineNodes> seen;
+  SmallVec<std::size_t, kMaxInlineNodes> stack;  // Each node enters once.
+  seen.assign(n, 0);
+  stack.assign(n, 0);
+  // Whether q is reachable from p over tight kept edges other than (p, q).
+  auto entailed = [&](std::size_t p, std::size_t q) {
+    const std::int64_t* from_p = d + p * n;
+    for (std::size_t v = 0; v < n; ++v) seen[v] = 0;
+    seen[p] = 1;
+    std::size_t top = 0;
+    stack[top++] = p;
+    while (top > 0) {
+      const std::size_t u = stack[--top];
+      const std::int64_t pu = from_p[u];
+      for (std::size_t v = 0; v < n; ++v) {
+        if (seen[v] || !kept[u * n + v] || (u == p && v == q)) continue;
+        if (pu + d[u * n + v] != from_p[v]) continue;
+        if (v == q) return true;
+        seen[v] = 1;
+        stack[top++] = v;
+      }
+    }
+    return false;
+  };
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      if (kept[p * n + q] && entailed(p, q)) {
+        kept[p * n + q] = 0;
+        --count;
+      }
+    }
+  }
+  std::vector<AtomicConstraint> out;
+  out.reserve(count);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      if (!kept[p * n + q]) continue;
+      out.push_back(AtomicConstraint{static_cast<int>(p) - 1,
+                                     static_cast<int>(q) - 1, d[p * n + q]});
+    }
+  }
+  return out;
+}
+
+std::vector<AtomicConstraint> Dbm::MinimalAtomicsReference() const {
+  assert(closed_ && feasible_);
   std::vector<AtomicConstraint> atomics = ToAtomics();
   // Greedy irredundancy: drop an atomic if the remaining ones still entail
   // it.  Quadratic in the (small: <= m(m+1)) number of atomics times a

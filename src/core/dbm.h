@@ -178,7 +178,18 @@ class Dbm {
   /// to this system.  Pre: closed() && feasible().  At most
   /// (num_vars)(num_vars+1) constraints, matching the bound the paper uses
   /// in Appendix A.
+  ///
+  /// Decides each atomic's redundancy by one reachability search over the
+  /// edges that are tight on shortest paths (DESIGN.md §3.5) and returns
+  /// exactly MinimalAtomicsReference()'s list, in the same order.  Pre:
+  /// Close() returned ok, so every finite bound is within kBoundLimit.
   std::vector<AtomicConstraint> MinimalAtomics() const;
+
+  /// The reference kernel: the same greedy over ToAtomics() order, deciding
+  /// each atomic by closing a fresh system of the other kept atomics, and
+  /// keeping it when that closure overflows.  The test oracle and bench
+  /// baseline of MinimalAtomics().  Pre: closed() && feasible().
+  std::vector<AtomicConstraint> MinimalAtomicsReference() const;
 
   /// Whether every solution of *this satisfies `other` (same num_vars).
   /// Pre: closed() && feasible().

@@ -1,5 +1,6 @@
 #include "core/lrp.h"
 
+#include <charconv>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -160,8 +161,19 @@ std::vector<std::int64_t> Lrp::ElementsInRange(std::int64_t lo,
 }
 
 std::string Lrp::ToString() const {
-  if (period_ == 0) return std::to_string(offset_);
-  return std::to_string(offset_) + "+" + std::to_string(period_) + "n";
+  std::string out;
+  AppendTo(out);
+  return out;
+}
+
+void Lrp::AppendTo(std::string& out) const {
+  char buf[24];  // Enough for any int64, sign included.
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, offset_).ptr);
+  if (period_ != 0) {
+    out += '+';
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, period_).ptr);
+    out += 'n';
+  }
 }
 
 std::ostream& operator<<(std::ostream& os, const Lrp& lrp) {

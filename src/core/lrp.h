@@ -72,6 +72,8 @@ class Lrp {
 
   /// "c" for singletons, "c+kn" otherwise (e.g. "3+5n", "0+2n").
   std::string ToString() const;
+  /// Appends ToString()'s form to `out` without a temporary string.
+  void AppendTo(std::string& out) const;
 
   friend bool operator==(const Lrp& a, const Lrp& b) = default;
 

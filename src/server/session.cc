@@ -641,7 +641,7 @@ Status Session::CmdCheck(std::ostream& out, const std::string& text) const {
 }
 
 Status Session::CmdFetch(std::ostream& out, const std::string& args) {
-  if (!cursor_.has_value()) {
+  if (cursor_ == nullptr) {
     return Status::InvalidArgument(
         "no query result to fetch from (run `query` first)");
   }
@@ -815,7 +815,7 @@ Status Session::EvalStatement(std::string_view verb, const std::string& text,
         ++stats_.cache_hits;
         out << hit->text;
         if (verb == "query" && hit->relation != nullptr) {
-          cursor_ = *hit->relation;
+          cursor_ = hit->relation;
           cursor_pos_ = 0;
         }
         return Status::Ok();
@@ -882,7 +882,7 @@ Status Session::EvalStatement(std::string_view verb, const std::string& text,
     ITDB_RETURN_IF_ERROR(outcome.status);
     out << outcome.text;
     if (verb == "query" && outcome.relation != nullptr) {
-      cursor_ = *outcome.relation;
+      cursor_ = outcome.relation;
       cursor_pos_ = 0;
     }
     return Status::Ok();

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -181,7 +182,8 @@ class Session {
   SharedDatabase* db_;
   SessionOptions options_;
   std::string pending_;  // Partial multi-line statement.
-  std::optional<GeneralizedRelation> cursor_;
+  // The last query's result, shared with the batcher and result cache.
+  std::shared_ptr<const GeneralizedRelation> cursor_;
   std::int64_t cursor_pos_ = 0;
   Stats stats_;
 };

@@ -1,7 +1,10 @@
 #include "storage/text_format.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -300,18 +303,25 @@ Result<NamedRelation> ParseRelationBlock(TokenStream& ts) {
 
 namespace {
 
+void AppendInt(std::string& out, std::int64_t v) {
+  char buf[24];  // Enough for any int64, sign included.
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 /// Value::ToString does not escape; the lexer unescapes '\x' inside string
 /// literals, so quotes and backslashes must be escaped here for the printed
 /// form to parse back to the same value.
-std::string PrintValue(const Value& v) {
-  if (v.IsInt()) return std::to_string(v.AsInt());
-  std::string out = "\"";
+void AppendValue(std::string& out, const Value& v) {
+  if (v.IsInt()) {
+    AppendInt(out, v.AsInt());
+    return;
+  }
+  out += '"';
   for (char c : v.AsString()) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
   out += '"';
-  return out;
 }
 
 }  // namespace
@@ -319,11 +329,17 @@ std::string PrintValue(const Value& v) {
 std::string PrintRelation(const std::string& name,
                           const GeneralizedRelation& relation) {
   const Schema& schema = relation.schema();
-  std::string out = "relation " + name + "(";
+  // One growing buffer: every piece below is appended in place.
+  std::string out;
+  out.reserve(64 + relation.tuples().size() * 64);
+  out += "relation ";
+  out += name;
+  out += '(';
   bool first = true;
   for (const std::string& n : schema.temporal_names()) {
     if (!first) out += ", ";
-    out += n + ": time";
+    out += n;
+    out += ": time";
     first = false;
   }
   for (int i = 0; i < schema.data_arity(); ++i) {
@@ -343,29 +359,39 @@ std::string PrintRelation(const std::string& name,
     out += "  [";
     for (int i = 0; i < t.temporal_arity(); ++i) {
       if (i > 0) out += ", ";
-      out += t.lrp(i).ToString();
+      t.lrp(i).AppendTo(out);
     }
     if (t.data_arity() > 0) {
       out += " | ";
       for (int i = 0; i < t.data_arity(); ++i) {
         if (i > 0) out += ", ";
-        out += PrintValue(t.value(i));
+        AppendValue(out, t.value(i));
       }
     }
-    out += "]";
+    out += ']';
     std::vector<AtomicConstraint> atomics = closed.MinimalAtomics();
     for (std::size_t i = 0; i < atomics.size(); ++i) {
       out += i == 0 ? " : " : " && ";
       const AtomicConstraint& a = atomics[i];
       if (a.lhs != kZeroVar && a.rhs != kZeroVar) {
-        out += schema.temporal_name(a.lhs) + " <= " +
-               schema.temporal_name(a.rhs);
-        if (a.bound > 0) out += " + " + std::to_string(a.bound);
-        if (a.bound < 0) out += " - " + std::to_string(-a.bound);
+        out += schema.temporal_name(a.lhs);
+        out += " <= ";
+        out += schema.temporal_name(a.rhs);
+        if (a.bound > 0) {
+          out += " + ";
+          AppendInt(out, a.bound);
+        } else if (a.bound < 0) {
+          out += " - ";
+          AppendInt(out, -a.bound);
+        }
       } else if (a.rhs == kZeroVar) {
-        out += schema.temporal_name(a.lhs) + " <= " + std::to_string(a.bound);
+        out += schema.temporal_name(a.lhs);
+        out += " <= ";
+        AppendInt(out, a.bound);
       } else {
-        out += schema.temporal_name(a.rhs) + " >= " + std::to_string(-a.bound);
+        out += schema.temporal_name(a.rhs);
+        out += " >= ";
+        AppendInt(out, -a.bound);
       }
     }
     out += ";\n";

@@ -1,13 +1,24 @@
 #include "core/dbm.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <ostream>
 #include <random>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace itdb {
+
+// Readable gtest failure messages for atomic lists.
+void PrintTo(const AtomicConstraint& a, std::ostream* os) {
+  *os << a.ToString();
+}
+
 namespace {
 
 TEST(AtomicConstraintTest, Negation) {
@@ -172,15 +183,35 @@ TEST(DbmTest, MinimalAtomicsDropRedundant) {
 }
 
 TEST(DbmTest, MinimalAtomicsHandleEqualities) {
-  Dbm d(2);
-  d.AddDifferenceEquality(0, 1, 0);  // X0 == X1
-  d.AddEquality(0, 4);               // X0 == 4  =>  X1 == 4 too.
-  ASSERT_TRUE(d.Close().ok());
-  std::vector<AtomicConstraint> min = d.MinimalAtomics();
-  Dbm rebuilt(2);
-  for (const AtomicConstraint& a : min) rebuilt.AddAtomic(a);
-  ASSERT_TRUE(rebuilt.Close().ok());
-  EXPECT_TRUE(rebuilt == d);
+  Dbm pair(2);
+  pair.AddDifferenceEquality(0, 1, 0);  // X0 == X1
+  pair.AddEquality(0, 4);               // X0 == 4  =>  X1 == 4 too.
+  // X0 == X1 == X2 == 5: every node pair is tied both ways, the case where
+  // a greedy that drops an atomic can change which later ones are kept.
+  Dbm chain(3);
+  chain.AddDifferenceEquality(0, 1, 0);
+  chain.AddDifferenceEquality(1, 2, 0);
+  chain.AddEquality(2, 5);
+  for (Dbm d : {pair, chain}) {
+    ASSERT_TRUE(d.Close().ok());
+    std::vector<AtomicConstraint> min = d.MinimalAtomics();
+    EXPECT_EQ(min, d.MinimalAtomicsReference());
+    Dbm rebuilt(d.num_vars());
+    for (const AtomicConstraint& a : min) rebuilt.AddAtomic(a);
+    ASSERT_TRUE(rebuilt.Close().ok());
+    EXPECT_TRUE(rebuilt == d);
+    // No kept atomic follows from the others.
+    for (std::size_t i = 0; i < min.size(); ++i) {
+      Dbm others(d.num_vars());
+      for (std::size_t j = 0; j < min.size(); ++j) {
+        if (j != i) others.AddAtomic(min[j]);
+      }
+      ASSERT_TRUE(others.Close().ok());
+      EXPECT_GT(others.bound_node(min[i].lhs + 1, min[i].rhs + 1),
+                min[i].bound)
+          << min[i].ToString();
+    }
+  }
 }
 
 TEST(DbmTest, PaperReductionExample) {
@@ -214,6 +245,111 @@ TEST(DbmTest, ZeroVariableSystem) {
   ASSERT_TRUE(d.Close().ok());
   EXPECT_TRUE(d.feasible());
   EXPECT_TRUE(d.IsSatisfiedBy({}));
+}
+
+// ---------------------------------------------------------------------------
+// MinimalAtomics: the tight-path fast path must return the reference's list,
+// element for element and in the same order.
+
+// A random closed feasible system over `m` variables, or nullopt when the
+// drawn constraints are infeasible.  Half the draws take bounds uniformly
+// from [-3, 3]; the other half add slack 0 or 1 to the differences of a
+// random point in [-1, 1]^m, so many atomics are tight and many paths tie.
+// Atomics against the zero node and equalities are drawn too.
+std::optional<Dbm> RandomClosedDbm(std::mt19937& rng, int m) {
+  Dbm d(m);
+  if (m == 0) return d;
+  std::uniform_int_distribution<int> var(-1, m - 1);
+  std::uniform_int_distribution<int> count(0, m * (m + 1));
+  std::uniform_int_distribution<std::int64_t> uniform(-3, 3);
+  std::uniform_int_distribution<std::int64_t> coord(-1, 1);
+  std::uniform_int_distribution<std::int64_t> slack(0, 1);
+  std::uniform_int_distribution<int> coin(0, 3);
+  const bool from_point = coin(rng) < 2;
+  std::vector<std::int64_t> x(static_cast<std::size_t>(m) + 1, 0);
+  for (int i = 1; i <= m; ++i) x[static_cast<std::size_t>(i)] = coord(rng);
+  const int atoms = count(rng);
+  for (int a = 0; a < atoms; ++a) {
+    const int lhs = var(rng);
+    const int rhs = var(rng);
+    if (lhs == rhs) continue;
+    const std::int64_t bound =
+        from_point ? x[static_cast<std::size_t>(lhs + 1)] -
+                         x[static_cast<std::size_t>(rhs + 1)] + slack(rng)
+                   : uniform(rng);
+    d.AddAtomic({lhs, rhs, bound});
+    // One draw in four is an equality: the reverse edge at -bound.
+    if (coin(rng) == 0) {
+      if (from_point) {
+        d.AddAtomic({rhs, lhs,
+                     x[static_cast<std::size_t>(rhs + 1)] -
+                         x[static_cast<std::size_t>(lhs + 1)]});
+      } else {
+        d.AddAtomic({rhs, lhs, -bound});
+      }
+    }
+  }
+  if (!d.Close().ok() || !d.feasible()) return std::nullopt;
+  return d;
+}
+
+TEST(MinimalAtomicsTest, FastPathMatchesReferenceOnRandomClosedSystems) {
+  std::mt19937 rng(20261019);
+  std::uniform_int_distribution<int> arity(0, 6);
+  constexpr int kSystems = 100000;
+  int checked = 0;
+  int heap_sized = 0;
+  std::vector<int> per_arity(7, 0);
+  const obs::Counter& closures =
+      *obs::MetricsRegistry::Global().GetCounter("dbm.close_full");
+  std::int64_t fast_closures = 0;
+  while (checked < kSystems) {
+    const int m = arity(rng);
+    std::optional<Dbm> d = RandomClosedDbm(rng, m);
+    if (!d.has_value()) continue;
+    const std::int64_t before = closures.value();
+    const std::vector<AtomicConstraint> fast = d->MinimalAtomics();
+    fast_closures += closures.value() - before;
+    const std::vector<AtomicConstraint> reference =
+        d->MinimalAtomicsReference();
+    ASSERT_EQ(fast, reference)
+        << "system " << checked << " over " << m << " variables, atomics "
+        << ::testing::PrintToString(d->ToAtomics());
+    ++checked;
+    ++per_arity[static_cast<std::size_t>(m)];
+    if (static_cast<std::size_t>(m) + 1 > Dbm::kMaxInlineNodes) ++heap_sized;
+  }
+  // Every arity, the heap-backed ones included, got a real share.
+  for (int m = 0; m <= 6; ++m) {
+    EXPECT_GT(per_arity[static_cast<std::size_t>(m)], kSystems / 20) << m;
+  }
+  EXPECT_GT(heap_sized, kSystems / 10);
+  EXPECT_EQ(fast_closures, 0);  // The fast path runs no closure.
+}
+
+TEST(MinimalAtomicsTest, BoundsNearTheLimitMatchTheReference) {
+  // X1 - X0 <= H, X0 <= H, X1 <= H and X2 == X1, with H above
+  // kBoundLimit / 4.  Every bound is within kBoundLimit, so the system
+  // closes.  Once X1 <= H is dropped (X1 == X2 <= H entails it), the only
+  // path left for X2 <= H is X2 -> X1 -> X0 -> 0 of weight 2H: the
+  // reference's trial closure overflows and keeps the atomic, and the fast
+  // path keeps it because that path is not tight.
+  const std::int64_t h = Dbm::kBoundLimit / 2 + 1;
+  Dbm d(3);
+  d.AddDifferenceUpperBound(1, 0, h);
+  d.AddUpperBound(0, h);
+  d.AddUpperBound(1, h);
+  d.AddDifferenceEquality(2, 1, 0);
+  ASSERT_TRUE(d.Close().ok());
+  ASSERT_TRUE(d.feasible());
+  const std::vector<AtomicConstraint> min = d.MinimalAtomics();
+  EXPECT_EQ(min, d.MinimalAtomicsReference());
+  EXPECT_NE(std::find(min.begin(), min.end(), AtomicConstraint{2, kZeroVar, h}),
+            min.end());
+  Dbm rebuilt(3);
+  for (const AtomicConstraint& a : min) rebuilt.AddAtomic(a);
+  ASSERT_TRUE(rebuilt.Close().ok());
+  EXPECT_EQ(rebuilt, d);
 }
 
 // ---------------------------------------------------------------------------

@@ -125,6 +125,24 @@ TEST_F(CachedSessionTest, WarmHitIsByteIdenticalAndSeatsTheCursor) {
   EXPECT_NE(page.find("remaining"), std::string::npos) << page;
 }
 
+TEST_F(CachedSessionTest, FetchAfterAHitPagesTheSameTuples) {
+  Session cold(&*shared_, Options());
+  Run(cold, "query Q(t) OR P(t)");
+  const std::string cold_first = Run(cold, "fetch 1");
+  const std::string cold_rest = Run(cold, "fetch 100");
+
+  Session warm(&*shared_, Options());
+  Run(warm, "query Q(t) OR P(t)");
+  ASSERT_EQ(warm.stats().cache_hits, 1);
+  EXPECT_EQ(Run(warm, "fetch 1"), cold_first);
+  EXPECT_EQ(Run(warm, "fetch 100"), cold_rest);
+  // Paging one session's cursor does not move another's over the same
+  // cached relation.
+  Session again(&*shared_, Options());
+  Run(again, "query Q(t) OR P(t)");
+  EXPECT_EQ(Run(again, "fetch 1"), cold_first);
+}
+
 TEST_F(CachedSessionTest, CatalogWriteInvalidates) {
   Session session(&*shared_, Options());
   Run(session, "ask EXISTS t . Q(t) AND t = 8");

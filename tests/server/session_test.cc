@@ -106,6 +106,29 @@ TEST_F(SessionTest, FetchPaginatesTheLastQueryResult) {
   EXPECT_NE(page.find("0 tuple(s), 0 remaining"), std::string::npos) << page;
 }
 
+TEST_F(SessionTest, WriteAfterQueryLeavesTheCursorOnTheOldResult) {
+  // The cursor holds the query's own result: a later write to a relation
+  // the query read changes what a new query sees, not what `fetch` pages.
+  Status status;
+  Session before(&*shared_);
+  Run(before, "query Q(t) OR P(t)", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  const std::string first = Run(before, "fetch 1");
+  const std::string rest = Run(before, "fetch 5");
+
+  Session session(&*shared_);
+  Run(session, "query Q(t) OR P(t)", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "fetch 1"), first);
+  Run(session, "drop Q", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  Run(session, "define relation Q(T: time) { [7n]; }", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "fetch 5"), rest);
+  // A new query reads the new Q.
+  EXPECT_EQ(Run(session, "query Q(t)").find("[0+4n]"), std::string::npos);
+}
+
 TEST_F(SessionTest, FetchWithoutQueryFails) {
   Session session(&*shared_);
   Status status;
