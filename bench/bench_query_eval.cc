@@ -2,15 +2,19 @@
 // the database size (data complexity).  The bench holds three queries of
 // increasing logical depth fixed and sweeps the number of tuples.  A pair
 // of benches pins what `ask` gains from reading only the emptiness of its
-// body (query/prepare.h, PlanGoal::kNonEmptiness).
+// body (query/prepare.h, PlanGoal::kNonEmptiness), and another that a
+// point lookup's cost does not grow with the catalog it is not reading.
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "core/algebra.h"
+#include "core/stats.h"
+#include "perfbench.h"
 #include "query/eval.h"
 #include "query/parser.h"
 #include "storage/database.h"
@@ -143,6 +147,58 @@ void BM_Query_ExistentialJoin_IsEmpty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Query_ExistentialJoin_IsEmpty);
+
+// The point_lookups catalog of perfbench (six relations, 190 tuples) plus
+// `copies` renamed copies of every relation.
+Database MakeLookupCatalog(int copies) {
+  std::optional<perfbench::Workload> w =
+      perfbench::MakeWorkload("point_lookups", 1, 4);
+  if (!w.has_value()) std::abort();
+  itdb::Result<Database> db = Database::FromText(w->catalog);
+  if (!db.ok()) std::abort();
+  for (const std::string& name : db->Names()) {
+    for (int i = 1; i <= copies; ++i) {
+      GeneralizedRelation copy = *db->Get(name);
+      if (!db->Add(name + "_" + std::to_string(i), std::move(copy)).ok()) {
+        std::abort();
+      }
+    }
+  }
+  return std::move(db).value();
+}
+
+// One point_lookups read -- a one-atom selection -- through EvalQuery, with
+// the shared statistics cache a server session passes.
+void RunLookup(benchmark::State& state, int copies) {
+  Database db = MakeLookupCatalog(copies);
+  itdb::Result<itdb::query::QueryPtr> q = itdb::query::ParseQuery(
+      "Shift(t, 2, s) AND t >= 840 AND t <= 1340");
+  if (!q.ok()) std::abort();
+  itdb::StatsCache stats;
+  itdb::query::QueryOptions options;
+  options.stats_cache = &stats;
+  for (auto _ : state) {
+    auto r = itdb::query::EvalQuery(db, q.value(), options);
+    if (!r.ok() || r.value().size() == 0) {
+      state.SkipWithError("the lookup found no tuple");
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["relations"] = static_cast<double>(db.size());
+}
+
+void BM_Prepare_Lookup_Catalog1x(benchmark::State& state) {
+  RunLookup(state, 0);
+}
+BENCHMARK(BM_Prepare_Lookup_Catalog1x);
+
+// The same lookup against ten times the relations (same data values, so
+// the active domain keeps its size): gated at <= 2x the 1x time.
+void BM_Prepare_Lookup_Catalog10x(benchmark::State& state) {
+  RunLookup(state, 9);
+}
+BENCHMARK(BM_Prepare_Lookup_Catalog10x);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/value.h"
+#include "query/domain.h"
 #include "util/numeric.h"
 
 namespace itdb {
@@ -58,48 +59,6 @@ Bound PowBound(const Bound& base, int exp) {
   Bound out = 1;
   for (int i = 0; i < exp && out.has_value(); ++i) out = MulBound(out, base);
   return out;
-}
-
-/// Collects the query's constants into the active-domain sets, mirroring
-/// the evaluator's CollectQueryConstants (query/eval.cc) exactly: atom
-/// string constants and data-position integer constants, plus comparison
-/// string constants.
-void CollectConstants(const Database& db, const query::Query& q,
-                      std::set<Value>& strings, std::set<Value>& ints) {
-  using query::Query;
-  using query::Term;
-  switch (q.kind()) {
-    case Query::Kind::kAtom: {
-      Result<GeneralizedRelation> rel = db.Get(q.relation());
-      if (!rel.ok()) return;
-      const Schema& schema = rel.value().schema();
-      for (std::size_t i = 0; i < q.args().size(); ++i) {
-        const Term& t = q.args()[i];
-        bool data_pos = static_cast<int>(i) >= schema.temporal_arity();
-        if (t.kind == Term::Kind::kString) {
-          strings.insert(Value(t.text));
-        } else if (t.kind == Term::Kind::kInt && data_pos) {
-          ints.insert(Value(t.number));
-        }
-      }
-      break;
-    }
-    case Query::Kind::kCmp:
-      for (const Term* t : {&q.lhs(), &q.rhs()}) {
-        if (t->kind == Term::Kind::kString) strings.insert(Value(t->text));
-      }
-      break;
-    case Query::Kind::kAnd:
-    case Query::Kind::kOr:
-      CollectConstants(db, *q.left(), strings, ints);
-      CollectConstants(db, *q.right(), strings, ints);
-      break;
-    case Query::Kind::kNot:
-    case Query::Kind::kExists:
-    case Query::Kind::kForall:
-      CollectConstants(db, *q.left(), strings, ints);
-      break;
-  }
 }
 
 }  // namespace
@@ -212,20 +171,9 @@ AbstractInterpreter::AbstractInterpreter(const Database& db,
       budget_(budget) {}
 
 void AbstractInterpreter::SeedActiveDomain(const query::Query& q) {
-  std::set<Value> strings;
-  std::set<Value> ints;
-  for (const std::string& name : db_.Names()) {
-    Result<GeneralizedRelation> rel = db_.Get(name);
-    if (!rel.ok()) continue;
-    for (const GeneralizedTuple& t : rel.value().tuples()) {
-      for (const Value& v : t.data()) {
-        (v.IsString() ? strings : ints).insert(v);
-      }
-    }
-  }
-  CollectConstants(db_, q, strings, ints);
-  adom_strings_ = static_cast<std::int64_t>(strings.size());
-  adom_ints_ = static_cast<std::int64_t>(ints.size());
+  query::QueryDomain domain(db_, q);
+  adom_strings_ = domain.size(DataType::kString);
+  adom_ints_ = domain.size(DataType::kInt);
   domain_seeded_ = true;
 }
 
@@ -329,7 +277,7 @@ Certificate AbstractInterpreter::Node(const query::Query& q) {
 
 Certificate AbstractInterpreter::AtomCert(const query::Query& q) {
   Certificate cert;
-  Result<GeneralizedRelation> rel = db_.Get(q.relation());
+  Result<const GeneralizedRelation&> rel = db_.Get(q.relation());
   if (!rel.ok()) return cert;  // Reported by the analyzer as A001.
   const Schema& schema = rel.value().schema();
   const int m = schema.temporal_arity();

@@ -175,8 +175,9 @@ class AbstractInterpreter {
   AbstractInterpreter(const AbstractInterpreter&) = delete;
   AbstractInterpreter& operator=(const AbstractInterpreter&) = delete;
 
-  /// Counts the evaluator's active domain (all data values in `db` plus
-  /// the constants of `q`), fixing the domain sizes for this instance.
+  /// Counts the evaluator's active domain (query::QueryDomain: the
+  /// catalog's data values plus the constants of `q`), fixing the domain
+  /// sizes for this instance.  Costs the query's size, not the catalog's.
   void SeedActiveDomain(const query::Query& q);
 
   /// Interprets the tree rooted at `q`, memoizing a Certificate for every

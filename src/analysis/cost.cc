@@ -87,7 +87,7 @@ struct CostWalker {
     switch (q.kind()) {
       case Query::Kind::kAtom: {
         std::optional<std::int64_t> lcm = 1;
-        Result<GeneralizedRelation> rel = db.Get(q.relation());
+        Result<const GeneralizedRelation&> rel = db.Get(q.relation());
         if (!rel.ok()) return lcm;
         for (const GeneralizedTuple& t : rel.value().tuples()) {
           for (const Lrp& lrp : t.temporal()) {

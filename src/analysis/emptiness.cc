@@ -221,7 +221,7 @@ struct EmptinessProver {
   Proof Prove(const Query& q) {
     switch (q.kind()) {
       case Query::Kind::kAtom: {
-        Result<GeneralizedRelation> rel = db.Get(q.relation());
+        Result<const GeneralizedRelation&> rel = db.Get(q.relation());
         bool empty = rel.ok() && rel.value().tuples().empty();
         return Mark(q, {empty, empty});
       }

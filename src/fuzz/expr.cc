@@ -201,8 +201,10 @@ std::vector<std::string> LeafNames(const ExprPtr& e) {
 Result<GeneralizedRelation> EvalExpr(const ExprPtr& e, const Database& db,
                                      const EvalExprOptions& options) {
   switch (e->kind) {
-    case Expr::Kind::kLeaf:
-      return db.Get(e->leaf);
+    case Expr::Kind::kLeaf: {
+      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation leaf, db.Get(e->leaf));
+      return leaf;
+    }
     case Expr::Kind::kUnion: {
       ITDB_ASSIGN_OR_RETURN(GeneralizedRelation a,
                             EvalExpr(e->left, db, options));
@@ -340,7 +342,8 @@ Result<FiniteEval> EvalExprFinite(const ExprPtr& e, const Database& db,
   Result<FiniteEval> out = [&]() -> Result<FiniteEval> {
     switch (e->kind) {
       case Expr::Kind::kLeaf: {
-        ITDB_ASSIGN_OR_RETURN(GeneralizedRelation r, db.Get(e->leaf));
+        ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& r,
+                              db.Get(e->leaf));
         return Windowed(FiniteRelation::Materialize(r, lo, hi), lo, hi);
       }
       case Expr::Kind::kUnion: {
@@ -456,7 +459,7 @@ Result<FiniteEval> EvalExprFinite(const ExprPtr& e, const Database& db,
 Result<Schema> InferSchema(const ExprPtr& e, const Database& db) {
   switch (e->kind) {
     case Expr::Kind::kLeaf: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation r, db.Get(e->leaf));
+      ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& r, db.Get(e->leaf));
       return r.schema();
     }
     case Expr::Kind::kUnion:

@@ -99,7 +99,7 @@ struct Generator {
   QueryPtr MakeAtom() {
     const std::string& name =
         relations[rng.Below(static_cast<std::uint32_t>(relations.size()))];
-    Result<GeneralizedRelation> rel = db.Get(name);
+    Result<const GeneralizedRelation&> rel = db.Get(name);
     const Schema& schema = rel.value().schema();
     std::vector<Term> args;
     for (int i = 0; i < schema.temporal_arity(); ++i) {

@@ -1,5 +1,6 @@
 #include "query/eval.h"
 
+#include "query/domain.h"
 #include "query/parser.h"
 #include "query/planner.h"
 #include "query/prepare.h"
@@ -7,7 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,75 +23,6 @@
 
 namespace itdb {
 namespace query {
-
-namespace {
-
-/// The active domain of the generic sort, split by type.
-struct ActiveDomain {
-  std::vector<Value> strings;
-  std::vector<Value> ints;
-
-  const std::vector<Value>& OfType(DataType type) const {
-    return type == DataType::kString ? strings : ints;
-  }
-};
-
-void CollectQueryConstants(const Query& q, std::set<Value>& strings,
-                           std::set<Value>& ints, const Database& db) {
-  switch (q.kind()) {
-    case Query::Kind::kAtom: {
-      Result<GeneralizedRelation> rel = db.Get(q.relation());
-      if (!rel.ok()) return;  // Reported later by sort inference.
-      const Schema& schema = rel.value().schema();
-      for (std::size_t i = 0; i < q.args().size(); ++i) {
-        const Term& t = q.args()[i];
-        bool data_pos = static_cast<int>(i) >= schema.temporal_arity();
-        if (t.kind == Term::Kind::kString) {
-          strings.insert(Value(t.text));
-        } else if (t.kind == Term::Kind::kInt && data_pos) {
-          ints.insert(Value(t.number));
-        }
-      }
-      break;
-    }
-    case Query::Kind::kCmp:
-      for (const Term* t : {&q.lhs(), &q.rhs()}) {
-        if (t->kind == Term::Kind::kString) strings.insert(Value(t->text));
-      }
-      break;
-    case Query::Kind::kAnd:
-    case Query::Kind::kOr:
-      CollectQueryConstants(*q.left(), strings, ints, db);
-      CollectQueryConstants(*q.right(), strings, ints, db);
-      break;
-    case Query::Kind::kNot:
-    case Query::Kind::kExists:
-    case Query::Kind::kForall:
-      CollectQueryConstants(*q.left(), strings, ints, db);
-      break;
-  }
-}
-
-ActiveDomain ComputeActiveDomain(const Database& db, const Query& q) {
-  std::set<Value> strings;
-  std::set<Value> ints;
-  for (const std::string& name : db.Names()) {
-    Result<GeneralizedRelation> rel = db.Get(name);
-    if (!rel.ok()) continue;
-    for (const GeneralizedTuple& t : rel.value().tuples()) {
-      for (const Value& v : t.data()) {
-        (v.IsString() ? strings : ints).insert(v);
-      }
-    }
-  }
-  CollectQueryConstants(q, strings, ints, db);
-  ActiveDomain out;
-  out.strings.assign(strings.begin(), strings.end());
-  out.ints.assign(ints.begin(), ints.end());
-  return out;
-}
-
-}  // namespace
 
 // Leaves carry their full text; inner nodes just the operator, their
 // structure being the tree itself.
@@ -165,7 +97,7 @@ CounterSnapshot SnapshotCounters(const KernelCounters* counters,
 struct Evaluator {
   const Database& db;
   const SortMap& sorts;
-  const ActiveDomain& adom;
+  const QueryDomain& adom;
   const AlgebraOptions& algebra;
   bool prune_intermediates = false;
   /// Plan-span destination; null disables per-node tracing.
@@ -299,9 +231,20 @@ Result<GeneralizedRelation> Evaluator::ExtendTo(
 }
 
 Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(q.relation()));
-  const Schema& schema = rel.schema();
+  ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& stored,
+                        db.Get(q.relation()));
+  const Schema& schema = stored.schema();
   const int m = schema.temporal_arity();
+  // `rel` borrows the stored relation until the first selection or shift
+  // yields an owned one.
+  std::optional<GeneralizedRelation> owned;
+  const GeneralizedRelation* rel = &stored;
+  auto take = [&](Result<GeneralizedRelation> next) -> Status {
+    if (!next.ok()) return next.status();
+    owned = std::move(next).value();
+    rel = &*owned;
+    return Status::Ok();
+  };
   // Pass 1: constants and successor offsets.
   for (std::size_t i = 0; i < q.args().size(); ++i) {
     const Term& t = q.args()[i];
@@ -309,24 +252,23 @@ Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
     if (pos < m) {
       // Temporal position.
       if (t.kind == Term::Kind::kInt) {
-        ITDB_ASSIGN_OR_RETURN(
-            rel, SelectTemporal(
-                     rel, TemporalCondition{pos, kZeroVar, CmpOp::kEq, t.number},
-                     algebra));
+        ITDB_RETURN_IF_ERROR(take(SelectTemporal(
+            *rel, TemporalCondition{pos, kZeroVar, CmpOp::kEq, t.number},
+            algebra)));
       } else if (t.number != 0) {
         // P(..., v + c, ...): the column equals v + c, so the variable's
         // value is column - c.
         ITDB_ASSIGN_OR_RETURN(std::int64_t delta, CheckedSub(0, t.number));
-        ITDB_ASSIGN_OR_RETURN(rel, ShiftTemporalColumn(rel, pos, delta));
+        ITDB_RETURN_IF_ERROR(take(ShiftTemporalColumn(*rel, pos, delta)));
       }
     } else {
       // Data position.
       if (t.kind == Term::Kind::kString) {
-        ITDB_ASSIGN_OR_RETURN(
-            rel, SelectData(rel, pos - m, CmpOp::kEq, Value(t.text)));
+        ITDB_RETURN_IF_ERROR(
+            take(SelectData(*rel, pos - m, CmpOp::kEq, Value(t.text))));
       } else if (t.kind == Term::Kind::kInt) {
-        ITDB_ASSIGN_OR_RETURN(
-            rel, SelectData(rel, pos - m, CmpOp::kEq, Value(t.number)));
+        ITDB_RETURN_IF_ERROR(
+            take(SelectData(*rel, pos - m, CmpOp::kEq, Value(t.number))));
       }
     }
   }
@@ -341,13 +283,10 @@ Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
     if (inserted) continue;
     int prev = it->second;
     if (pos < m) {
-      ITDB_ASSIGN_OR_RETURN(
-          rel,
-          SelectTemporal(rel, TemporalCondition{prev, pos, CmpOp::kEq, 0},
-                         algebra));
+      ITDB_RETURN_IF_ERROR(take(SelectTemporal(
+          *rel, TemporalCondition{prev, pos, CmpOp::kEq, 0}, algebra)));
     } else {
-      ITDB_ASSIGN_OR_RETURN(rel,
-                            SelectDataEqColumns(rel, prev - m, pos - m));
+      ITDB_RETURN_IF_ERROR(take(SelectDataEqColumns(*rel, prev - m, pos - m)));
     }
   }
   // Pass 3: keep the first column of each variable, rename to the variable.
@@ -360,7 +299,7 @@ Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
     renames.emplace_back(attr, var);
   }
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation projected,
-                        Project(rel, keep, algebra));
+                        Project(*rel, keep, algebra));
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation renamed,
                         Rename(projected, renames));
   return Canonical(renamed);
@@ -751,7 +690,7 @@ Result<GeneralizedRelation> EvalForGoal(const Database& db,
   // eliminated dead branch still feed it, so analysis cannot shift data
   // quantifier ranges.  (Optimize preserves atoms and constants, so this
   // changes nothing for the plain path.)
-  ActiveDomain adom = ComputeActiveDomain(db, *prepared.query);
+  QueryDomain adom(db, *prepared.query);
   // One normalization memo-cache per query evaluation: subqueries repeatedly
   // renormalize the same base tuples (negation and quantifier elimination in
   // particular), so sharing the cache across the whole tree pays for itself.

@@ -9,8 +9,8 @@
 //     is not(exists not(...)).
 //   * Data variables and quantifiers range over the ACTIVE DOMAIN: the data
 //     values appearing in the database plus the constants of the query,
-//     split by type.  This is the standard safe interpretation of the
-//     generic sort.
+//     split by type (query/domain.h).  This is the standard safe
+//     interpretation of the generic sort.
 //   * The result of an open query is a generalized relation with one
 //     temporal column per free temporal variable and one data column per
 //     free data variable, each named after its variable, in sorted name

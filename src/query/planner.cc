@@ -167,7 +167,7 @@ class Planner {
 ConjunctInfo Planner::PlanAtom(const QueryPtr& q) {
   ConjunctInfo info;
   info.q = q;
-  Result<GeneralizedRelation> rel = db_.Get(q->relation());
+  Result<const GeneralizedRelation&> rel = db_.Get(q->relation());
   if (!rel.ok()) {
     // Unknown relation: evaluation will fail regardless of order; estimate
     // empty so the failure surfaces as early as the written order would.

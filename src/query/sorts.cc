@@ -113,7 +113,7 @@ void Walk(InferenceState& state, const Query& q) {
           state.SeeVariable(t.var, q.TermSpan(i));
         }
       }
-      Result<GeneralizedRelation> rel = state.db.Get(q.relation());
+      Result<const GeneralizedRelation&> rel = state.db.Get(q.relation());
       if (!rel.ok()) {
         state.Report(diag::kUnknownRelation, q.span(),
                      std::string(rel.status().message()));

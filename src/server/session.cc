@@ -87,7 +87,7 @@ std::string SplitCommand(const std::string& line, std::string* rest) {
   return head;
 }
 
-int BraceBalance(const std::string& s) {
+int BraceBalance(std::string_view s) {
   int open = 0;
   for (char c : s) {
     if (c == '{') ++open;
@@ -126,7 +126,7 @@ Status CmdSave(const Database& db, const std::string& path) {
 
 Status CmdShow(std::ostream& out, const Database& db,
                const std::string& name) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+  ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel, db.Get(name));
   out << PrintRelation(name, rel);
   return Status::Ok();
 }
@@ -175,7 +175,7 @@ Status CmdEnumerate(std::ostream& out, const Database& db,
   if (!(in >> name >> lo >> hi)) {
     return Status::InvalidArgument("usage: enumerate <name> <lo> <hi>");
   }
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+  ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel, db.Get(name));
   std::vector<ConcreteRow> rows = rel.Enumerate(lo, hi);
   for (const ConcreteRow& row : rows) {
     out << "  " << row.ToString() << "\n";
@@ -221,7 +221,7 @@ Status PutRelation(Database& db, storage::StorageEngine* engine,
 
 Status CmdCoalesce(std::ostream& out, Database& db,
                    storage::StorageEngine* engine, const std::string& name) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+  ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel, db.Get(name));
   std::int64_t before = rel.size();
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation packed, CoalesceResidues(rel));
   out << before << " -> " << packed.size() << " tuple(s)\n";
@@ -230,7 +230,7 @@ Status CmdCoalesce(std::ostream& out, Database& db,
 
 Status CmdSimplify(std::ostream& out, Database& db,
                    storage::StorageEngine* engine, const std::string& name) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+  ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel, db.Get(name));
   std::int64_t before = rel.size();
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation simplified, Simplify(rel));
   out << before << " -> " << simplified.size() << " tuple(s)\n";
@@ -239,7 +239,7 @@ Status CmdSimplify(std::ostream& out, Database& db,
 
 Status CmdWitness(std::ostream& out, const Database& db,
                   const std::string& name) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+  ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel, db.Get(name));
   ITDB_ASSIGN_OR_RETURN(std::optional<ConcreteRow> row, FindWitness(rel));
   if (row.has_value()) {
     out << row->ToString() << "\n";
@@ -260,7 +260,7 @@ Status CmdStats(std::ostream& out, const Database& db, const std::string& args,
     names = db.Names();
   }
   for (const std::string& name : names) {
-    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+    ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel, db.Get(name));
     RelationStats stats = cache != nullptr
                               ? cache->Get(name, db.version(), rel)
                               : ComputeRelationStats(rel);
@@ -315,25 +315,31 @@ std::optional<std::string> Session::AppendLine(std::string_view line) {
     std::string verb = SplitCommand(text, &rest);
     // Only `define` statements continue across lines; for everything else a
     // stray brace is the statement's own problem.
-    if (verb == "define" && BraceBalance(text) > 0) {
+    const int balance = verb == "define" ? BraceBalance(text) : 0;
+    if (balance > 0) {
       pending_ = text;
+      pending_balance_ = balance;
       return std::nullopt;
     }
     return text;
   }
   // Continuation lines feed the relation parser verbatim -- no comment
-  // stripping, matching the classic shell's CompleteBlock behavior.
+  // stripping, matching the classic shell's CompleteBlock behavior.  The
+  // balance is kept per line, so assembly stays linear in the statement.
   pending_ += "\n";
-  pending_ += std::string(line);
-  if (BraceBalance(pending_) > 0) return std::nullopt;
+  pending_ += line;
+  pending_balance_ += BraceBalance(line);
+  if (pending_balance_ > 0) return std::nullopt;
   std::string statement = std::move(pending_);
   pending_.clear();
+  pending_balance_ = 0;
   return statement;
 }
 
 bool Session::AbortPending() {
   if (pending_.empty()) return false;
   pending_.clear();
+  pending_balance_ = 0;
   return true;
 }
 

@@ -182,6 +182,7 @@ class Session {
   SharedDatabase* db_;
   SessionOptions options_;
   std::string pending_;  // Partial multi-line statement.
+  int pending_balance_ = 0;  // Open braces in pending_.
   // The last query's result, shared with the batcher and result cache.
   std::shared_ptr<const GeneralizedRelation> cursor_;
   std::int64_t cursor_pos_ = 0;

@@ -1,13 +1,16 @@
 // A Database shared by many concurrent sessions.
 //
-// The storage-layer Database is a plain single-threaded catalog; the query
-// service runs many readers (query evaluation walks the catalog for the
-// whole evaluation: atoms, active-domain computation) against occasional
-// writers (define / load / drop / coalesce / simplify).  This wrapper
-// serializes them with one reader-writer lock held for the WHOLE callback:
-// a query evaluated under WithRead observes one consistent catalog state,
-// which is what makes the multi-client stress test's "bit-identical to
-// serial execution" guarantee well-defined.
+// The storage-layer Database allows concurrent const access but needs
+// exclusive access to mutate; the query service runs many readers (a query
+// borrows the relations its atoms name and the catalog's active domain for
+// the whole evaluation) against occasional writers (define / load / drop /
+// coalesce / simplify).  This wrapper serializes them with one
+// reader-writer lock held for the WHOLE callback: a query evaluated under
+// WithRead observes one consistent catalog state, which is what makes the
+// multi-client stress test's "bit-identical to serial execution" guarantee
+// well-defined.  It also bounds every borrow: a relation reference from
+// Database::Get, or the domain from Database::ActiveDomain, must not
+// outlive the WithRead callback that obtained it.
 //
 // Every write bumps a version counter.  The plan batcher keys in-flight
 // evaluations on (plan, version): two queries may share one evaluation only

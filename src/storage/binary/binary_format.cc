@@ -631,7 +631,7 @@ Result<std::string> EncodeDatabase(const Database& db) {
   for (const std::string& name : db.Names()) {
     RelationSegment segment;
     segment.name = name;
-    const GeneralizedRelation relation = db.Get(name).value();
+    const GeneralizedRelation& relation = *db.Get(name);
     segment.schema = relation.schema();
     segment.rows.reserve(static_cast<std::size_t>(relation.size()));
     for (const GeneralizedTuple& tuple : relation.tuples()) {

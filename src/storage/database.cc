@@ -1,5 +1,6 @@
 #include "storage/database.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "storage/lexer.h"
@@ -29,7 +30,8 @@ Status Database::Remove(const std::string& name) {
   return Status::Ok();
 }
 
-Result<GeneralizedRelation> Database::Get(const std::string& name) const {
+Result<const GeneralizedRelation&> Database::Get(
+    const std::string& name) const {
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     return Status::NotFound("relation \"" + name + "\" does not exist");
@@ -46,6 +48,31 @@ std::vector<std::string> Database::Names() const {
   out.reserve(relations_.size());
   for (const auto& [name, relation] : relations_) out.push_back(name);
   return out;
+}
+
+const DataDomain& Database::ActiveDomain() const {
+  return domain_.Get(*this);
+}
+
+const DataDomain& Database::DomainCache::Get(const Database& db) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (built_ && version_ == db.version_) return domain_;
+  domain_.strings.clear();
+  domain_.ints.clear();
+  for (const auto& [name, relation] : db.relations_) {
+    for (const GeneralizedTuple& t : relation.tuples()) {
+      for (const Value& v : t.data()) {
+        (v.IsString() ? domain_.strings : domain_.ints).push_back(v);
+      }
+    }
+  }
+  for (std::vector<Value>* values : {&domain_.strings, &domain_.ints}) {
+    std::sort(values->begin(), values->end());
+    values->erase(std::unique(values->begin(), values->end()), values->end());
+  }
+  built_ = true;
+  version_ = db.version_;
+  return domain_;
 }
 
 namespace {

@@ -248,7 +248,8 @@ Result<GeneralizedRelation> Sat(const Database& db, const TlFormula& f,
                                 const AlgebraOptions& options) {
   switch (f.kind()) {
     case TlFormula::Kind::kProp: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(f.prop()));
+      ITDB_ASSIGN_OR_RETURN(const GeneralizedRelation& rel,
+                            db.Get(f.prop()));
       if (rel.schema().temporal_arity() != 1 ||
           rel.schema().data_arity() != 0) {
         return Status::InvalidArgument(

@@ -123,6 +123,37 @@ class Result {
   std::optional<T> value_;
 };
 
+/// A borrowed T or an error Status: Result<const T&> refers to a value
+/// owned elsewhere (e.g. a relation inside its Database) and never copies
+/// it.  Binding value() to a `const T&` borrows; declaring a `T` copies.
+template <typename T>
+class Result<T&> {
+ public:
+  /// Constructs a failed result.  `status` must not be OK.
+  Result(Status status)  // NOLINT(google-explicit-constructor)
+      : status_(std::move(status)) {
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument("Result constructed from OK status");
+    }
+  }
+
+  /// Constructs a successful result referring to `value`.
+  Result(T& value)  // NOLINT(google-explicit-constructor)
+      : value_(&value) {}
+
+  bool ok() const { return value_ != nullptr; }
+  const Status& status() const { return status_; }
+
+  /// Pre: ok().
+  T& value() const { return *value_; }
+  T& operator*() const { return *value_; }
+  T* operator->() const { return value_; }
+
+ private:
+  Status status_;
+  T* value_ = nullptr;
+};
+
 }  // namespace itdb
 
 /// Propagates a non-OK Status from an expression to the caller.

@@ -65,7 +65,7 @@ TEST(EndToEndTest, FactoryScenario) {
       "G(inspection -> O(night_start))");
   // The relation names in the TL layer are database names; register the
   // inspection relation under the lowercase name used in the formula.
-  Result<GeneralizedRelation> inspection = db.Get("Inspection");
+  Result<const GeneralizedRelation&> inspection = db.Get("Inspection");
   ASSERT_TRUE(inspection.ok());
   db.Put("inspection", inspection.value());
   ASSERT_TRUE(spec.ok()) << spec.status();
@@ -75,7 +75,7 @@ TEST(EndToEndTest, FactoryScenario) {
 
   // 5. Allen reasoning: every night shift CONTAINS some inspection-derived
   // unit interval [t, t+1]?  Build the inspection intervals and join.
-  Result<GeneralizedRelation> insp_points = db.Get("Inspection");
+  Result<const GeneralizedRelation&> insp_points = db.Get("Inspection");
   ASSERT_TRUE(insp_points.ok());
   GeneralizedRelation insp_intervals(Schema({"IS", "IE"}, {}, {}));
   for (const GeneralizedTuple& t : insp_points.value().tuples()) {
@@ -84,7 +84,7 @@ TEST(EndToEndTest, FactoryScenario) {
     iv.mutable_constraints().AddDifferenceEquality(0, 1, -1);
     ASSERT_TRUE(insp_intervals.AddTuple(std::move(iv)).ok());
   }
-  Result<GeneralizedRelation> shifts = db.Get("Shift");
+  Result<const GeneralizedRelation&> shifts = db.Get("Shift");
   ASSERT_TRUE(shifts.ok());
   Result<GeneralizedRelation> night = SelectData(
       shifts.value(), 0, CmpOp::kEq, Value("night"));
@@ -119,8 +119,8 @@ TEST(EndToEndTest, FactoryScenario) {
   Result<Database> again = Database::FromText(text);
   ASSERT_TRUE(again.ok()) << again.status() << "\n" << text;
   for (const std::string& name : db.Names()) {
-    Result<GeneralizedRelation> a = db.Get(name);
-    Result<GeneralizedRelation> b = again.value().Get(name);
+    Result<const GeneralizedRelation&> a = db.Get(name);
+    Result<const GeneralizedRelation&> b = again.value().Get(name);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     Result<bool> same = Equivalent(a.value(), b.value());

@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,62 @@ TEST_F(SessionTest, CommentsApplyToFirstLineOnly) {
   std::optional<std::string> statement = session.AppendLine("}");
   ASSERT_TRUE(statement.has_value());
   EXPECT_NE(statement->find("# kept"), std::string::npos);
+}
+
+TEST_F(SessionTest, LongDefineAssemblesAtTheSameLineAsAWholeBufferScan) {
+  Session session(&*shared_);
+  // Continuation lines open and close braces of their own; the statement
+  // must end exactly where a brace count over the whole buffer first drops
+  // to zero, and come back verbatim.
+  std::vector<std::string> lines = {"define relation Long(T: time) {"};
+  for (int i = 0; i < 300; ++i) {
+    switch (i % 5) {
+      case 0:
+        lines.push_back("  {");
+        break;
+      case 1:
+        lines.push_back("  [" + std::to_string(i) + "n]; }{");
+        break;
+      case 2:
+        lines.push_back("  }");
+        break;
+      default:
+        lines.push_back("  [" + std::to_string(i) + "+1000n];");
+    }
+  }
+  lines.push_back("}");
+  std::string expected;
+  int balance = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) expected += "\n";
+    expected += lines[i];
+    for (char c : lines[i]) balance += c == '{' ? 1 : c == '}' ? -1 : 0;
+    std::optional<std::string> statement = session.AppendLine(lines[i]);
+    if (balance > 0) {
+      ASSERT_EQ(statement, std::nullopt) << "line " << i;
+    } else {
+      ASSERT_EQ(i + 1, lines.size()) << "closed early at line " << i;
+      ASSERT_EQ(statement, std::optional<std::string>(expected));
+    }
+  }
+  EXPECT_FALSE(session.has_pending());
+}
+
+TEST_F(SessionTest, AbortedDefineLeavesNoOpenBraces) {
+  Session session(&*shared_);
+  std::ostringstream out;
+  session.Feed("define relation Half(T: time) {", out);
+  session.Feed("  {", out);
+  ASSERT_TRUE(session.AbortPending());
+  using Disposition = Session::FeedResult::Disposition;
+  EXPECT_EQ(session.Feed("define relation Whole(T: time) {", out).disposition,
+            Disposition::kNeedMore);
+  EXPECT_EQ(session.Feed("  [2n];", out).disposition, Disposition::kNeedMore);
+  Session::FeedResult done = session.Feed("}", out);
+  EXPECT_EQ(done.disposition, Disposition::kDone);
+  EXPECT_TRUE(done.status.ok()) << done.status;
+  EXPECT_TRUE(db_.Has("Whole"));
+  EXPECT_FALSE(db_.Has("Half"));
 }
 
 TEST_F(SessionTest, FetchPaginatesTheLastQueryResult) {

@@ -37,7 +37,7 @@ TEST(DatabaseTest, FromTextParsesMultipleRelations) {
   EXPECT_EQ(db.value().size(), 2);
   EXPECT_EQ(db.value().Names(),
             (std::vector<std::string>{"Maintenance", "Trains"}));
-  Result<GeneralizedRelation> trains = db.value().Get("Trains");
+  Result<const GeneralizedRelation&> trains = db.value().Get("Trains");
   ASSERT_TRUE(trains.ok());
   EXPECT_EQ(trains.value().size(), 2);
   // 7:02 -> 8:20 expressed in minutes-past-some-hour arithmetic: the tuple

@@ -54,6 +54,17 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*p, 7);
 }
 
+TEST(ResultTest, BorrowedValueIsNotCopied) {
+  const std::string owned = "kept";
+  Result<const std::string&> r = owned;
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(&r.value(), &owned);
+  EXPECT_EQ(r->size(), 4u);
+  Result<const std::string&> missing = Status::NotFound("missing");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
 namespace macros {
 
 Result<int> FailingResult() { return Status::Overflow("boom"); }
@@ -71,6 +82,20 @@ Status UseAssignOrReturn(bool fail, int* out) {
   return Status::Ok();
 }
 
+Result<const std::string&> Borrow(const std::string& s, bool fail) {
+  if (fail) return Status::NotFound("nope");
+  return s;
+}
+
+Status UseAssignOrReturnBorrowed(bool fail, const std::string& s,
+                                 const std::string** seen,
+                                 std::string* copied) {
+  ITDB_ASSIGN_OR_RETURN(const std::string& borrowed, Borrow(s, fail));
+  ITDB_ASSIGN_OR_RETURN(*copied, Borrow(s, fail));
+  *seen = &borrowed;
+  return Status::Ok();
+}
+
 }  // namespace macros
 
 TEST(StatusMacrosTest, ReturnIfErrorPropagates) {
@@ -84,6 +109,17 @@ TEST(StatusMacrosTest, AssignOrReturnPropagatesAndAssigns) {
   EXPECT_EQ(out, 10);
   EXPECT_EQ(macros::UseAssignOrReturn(true, &out).code(),
             StatusCode::kOverflow);
+}
+
+TEST(StatusMacrosTest, AssignOrReturnBindsABorrowOrCopiesIt) {
+  const std::string s = "catalog";
+  const std::string* seen = nullptr;
+  std::string copied;
+  EXPECT_TRUE(macros::UseAssignOrReturnBorrowed(false, s, &seen, &copied).ok());
+  EXPECT_EQ(seen, &s);
+  EXPECT_EQ(copied, s);
+  EXPECT_EQ(macros::UseAssignOrReturnBorrowed(true, s, &seen, &copied).code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -21,8 +21,10 @@ Two further guards:
   * Ratios: the optional "ratios" section pins *relative* gaps (e.g. the
     cost-planned join order vs the written order, a warm cache hit vs a
     cold evaluation).  Each entry fails when time(slower) / time(faster)
-    drops below min_ratio -- absolute floors cannot catch the two sides
-    drifting together.
+    drops below its min_ratio -- absolute floors cannot catch the two sides
+    drifting together -- or, for an entry with a max_ratio, rises above
+    it (a cost that must stay flat as an input grows, e.g. a lookup against
+    a 10x catalog vs the 1x one).  An entry carries either bound or both.
 """
 
 import argparse
@@ -96,7 +98,10 @@ def main():
 
     for entry in config.get("ratios", []):
         slower, faster = entry["slower"], entry["faster"]
-        min_ratio = float(entry["min_ratio"])
+        min_ratio, max_ratio = entry.get("min_ratio"), entry.get("max_ratio")
+        if min_ratio is None and max_ratio is None:
+            sys.exit(f"ratio {slower} / {faster}: "
+                     f"needs a min_ratio or a max_ratio")
         t_slow, t_fast = times.get(slower), times.get(faster)
         if t_slow is None or t_fast is None:
             missing = slower if t_slow is None else faster
@@ -104,13 +109,20 @@ def main():
                             f"{missing} not found in any report")
             continue
         ratio = t_slow / t_fast if t_fast > 0 else float("inf")
-        verdict = "FAIL" if ratio < min_ratio else "ok"
-        print(f"{verdict:>4}  ratio {slower} / {faster}: {ratio:.1f}x "
-              f"(min {min_ratio}x)")
-        if ratio < min_ratio:
-            failures.append(
-                f"ratio {slower} / {faster}: {ratio:.1f}x below "
-                f"required {min_ratio}x")
+        bounds, broken = [], []
+        if min_ratio is not None:
+            bounds.append(f"min {float(min_ratio)}x")
+            if ratio < float(min_ratio):
+                broken.append(f"below required {float(min_ratio)}x")
+        if max_ratio is not None:
+            bounds.append(f"max {float(max_ratio)}x")
+            if ratio > float(max_ratio):
+                broken.append(f"above allowed {float(max_ratio)}x")
+        verdict = "FAIL" if broken else "ok"
+        print(f"{verdict:>4}  ratio {slower} / {faster}: {ratio:.2f}x "
+              f"({', '.join(bounds)})")
+        for b in broken:
+            failures.append(f"ratio {slower} / {faster}: {ratio:.2f}x {b}")
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -28,6 +28,10 @@ Checks, over src/ (and where noted, tests/):
      by-value use; pointers and references are fine).  Declarations and
      definitions -- lines starting in column 0 -- are exempt.  Keeps
      copies of the compile pipeline from growing back.
+  8. no catalog walk per statement: under src/query/ and src/analysis/,
+     nothing calls Database::Names().  Database::ActiveDomain() is the only
+     catalog-wide read there, so a statement's cost stays independent of
+     the relations it does not name.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -211,6 +215,24 @@ def check_single_front_end(src: Path, findings: list[str]) -> None:
                     )
 
 
+NAMES_CALL_RE = re.compile(r"(\.|->)\s*Names\s*\(")
+PER_STATEMENT_DIRS = ("query", "analysis")
+
+
+def check_no_catalog_walk(src: Path, findings: list[str]) -> None:
+    for d in PER_STATEMENT_DIRS:
+        for cc in sorted(list((src / d).rglob("*.cc")) +
+                         list((src / d).rglob("*.h"))):
+            for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+                if NAMES_CALL_RE.search(strip_comments_and_strings(raw)):
+                    findings.append(
+                        f"{cc}:{lineno}: walks the catalog with Names() on "
+                        f"the per-statement path (read "
+                        f"Database::ActiveDomain or the named relation): "
+                        f"{raw.strip()}"
+                    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -231,6 +253,7 @@ def main() -> int:
     check_diag_codes_documented(args.root, src, findings)
     check_metric_names_unique(src, findings)
     check_single_front_end(src, findings)
+    check_no_catalog_walk(src, findings)
 
     for finding in findings:
         print(finding)
